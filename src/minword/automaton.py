@@ -131,21 +131,32 @@ def reachable_states(dfa: Dfa) -> frozenset[int]:
 
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:
-    """Parse a word from concatenated labels (greedy longest-label match)."""
-    by_length = sorted(
-        range(len(alphabet)), key=lambda i: len(alphabet.symbols[i]), reverse=True
-    )
-    out: list[int] = []
-    pos = 0
-    while pos < len(text):
-        for idx in by_length:
-            label = alphabet.symbols[idx]
+    """Parse a word from concatenated labels; the split must be unique.
+
+    Dynamic programming over positions: parses[i] counts (up to 2) the ways
+    to split text[:i] into labels, and last[i] is the final label of one.
+    """
+    parses = [1] + [0] * len(text)
+    last: list[tuple[int, int]] = [(-1, -1)] * (len(text) + 1)
+    for pos in range(len(text)):
+        if not parses[pos]:
+            continue
+        for idx, label in enumerate(alphabet.symbols):
             if text.startswith(label, pos):
-                out.append(idx)
-                pos += len(label)
-                break
-        else:
-            raise ValueError(f"no alphabet label matches input at position {pos}: {text[pos:]!r}")
+                end = pos + len(label)
+                parses[end] = min(2, parses[end] + parses[pos])
+                last[end] = (pos, idx)
+    if not parses[-1]:
+        pos = max(i for i, count in enumerate(parses) if count)
+        raise ValueError(f"no alphabet label matches input at position {pos}: {text[pos:]!r}")
+    if parses[-1] > 1:
+        raise ValueError(f"input {text!r} splits into alphabet labels in more than one way")
+    out: list[int] = []
+    pos = len(text)
+    while pos:
+        pos, idx = last[pos]
+        out.append(idx)
+    out.reverse()
     return tuple(out)
 
 

@@ -88,15 +88,18 @@ def _ramp_labels(n: int) -> list[str]:
     return [f"q_{a}" for a in range(n)]
 
 
+def _product_dot(m: int, n: int) -> str:
+    prod = product([ones_mod_dfa(m), ramp_cycle_dfa(m, n)])
+    ones, ramp = _ones_labels(m), _ramp_labels(n)
+    labels = [f"({ones[a]},{ramp[b]})" for a, b in prod.tags]
+    return to_dot(prod.dfa, labels, name="product")
+
+
 def _write_construction_dots(m: int, n: int, directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
-    ones = ones_mod_dfa(m)
-    ramp = ramp_cycle_dfa(m, n)
-    prod = product([ones, ramp])
-    labels = [f"({_ones_labels(m)[a]},{_ramp_labels(n)[b]})" for a, b in prod.tags]
-    (directory / "ones.dot").write_text(to_dot(ones, _ones_labels(m), name="ones"))
-    (directory / "ramp.dot").write_text(to_dot(ramp, _ramp_labels(n), name="ramp"))
-    (directory / "product.dot").write_text(to_dot(prod.dfa, labels, name="product"))
+    (directory / "ones.dot").write_text(to_dot(ones_mod_dfa(m), _ones_labels(m), name="ones"))
+    (directory / "ramp.dot").write_text(to_dot(ramp_cycle_dfa(m, n), _ramp_labels(n), name="ramp"))
+    (directory / "product.dot").write_text(_product_dot(m, n))
 
 
 def cmd_witness(args) -> int:
@@ -157,13 +160,12 @@ def _search_fields(report: SearchReport) -> dict:
 
 
 def cmd_search(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     report = tightness_search(args.sizes, workers=args.workers, max_tuples=args.budget)
     fields = _search_fields(report)
     if args.format == "structured":
         _emit_json(_document("search", fields, args))
-    elif args.format == "csv":
-        print("error: csv output is only available for tabular commands (witness, verify)", file=sys.stderr)
-        return 2
     else:
         for key, value in fields.items():
             if key == "witness_dfas":
@@ -189,9 +191,6 @@ def cmd_lss(args) -> int:
     }
     if args.format == "structured":
         _emit_json(_document("lss", fields, args))
-    elif args.format == "csv":
-        print("error: csv output is only available for tabular commands (witness, verify)", file=sys.stderr)
-        return 2
     else:
         if empty:
             print("empty intersection")
@@ -227,11 +226,7 @@ def cmd_export_dot(args) -> int:
             if args.source == "ramp":
                 text = to_dot(ramp_cycle_dfa(m, n), _ramp_labels(n), name="ramp")
             else:
-                prod = product([ones_mod_dfa(m), ramp_cycle_dfa(m, n)])
-                labels = [
-                    f"({_ones_labels(m)[a]},{_ramp_labels(n)[b]})" for a, b in prod.tags
-                ]
-                text = to_dot(prod.dfa, labels, name="product")
+                text = _product_dot(m, n)
     if args.dot:
         Path(args.dot).write_text(text)
     else:
@@ -283,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive tuple search for the maximum intersection lss")
     p.add_argument("--sizes", type=_parse_sizes, required=True, metavar="A,B,...")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--budget", type=int, default=DEFAULT_MAX_TUPLES, help="maximum language tuples to examine")
+    p.add_argument("--workers", type=int, default=1, help="worker processes, at most the CPU count")
+    p.add_argument("--budget", type=int, default=DEFAULT_MAX_TUPLES, help="maximum raw DFAs to enumerate and tuples to examine")
     add_common(p)
     p.set_defaults(func=cmd_search)
 
@@ -308,6 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format == "csv" and args.command in ("search", "lss"):
+        print("error: csv output is only available for tabular commands (witness, verify)", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (

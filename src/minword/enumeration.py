@@ -14,6 +14,7 @@ minimal DFAs per size, which is exact and far smaller.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -94,30 +95,19 @@ def _scan_slice(
     Lists are sorted by serialization, so iteration order is lexicographic on
     the serialized tuple and "earliest" equals "lexicographically least".
     """
-    width = len(lists[0][0].alphabet) if lists[0] else 0
-    rest = lists[1:]
-    prepared = [
-        [(d.delta, d.accepting, d.initial, d) for d in lst] for lst in rest
-    ]
+    sliced = (lists[0][start:stop],) + lists[1:]
+    prepared = [[(d.delta, d.accepting, d.initial, d) for d in lst] for lst in sliced]
     best: _Candidate | None = None
-    for first in lists[0][start:stop]:
-        f_tab = (first.delta, first.accepting, first.initial, first)
-        for combo in itertools.product(*prepared):
-            tabs = (f_tab,) + combo
-            result = _intersection_lss_tables(
-                [t[0] for t in tabs],
-                [t[1] for t in tabs],
-                tuple(t[2] for t in tabs),
-                width,
+    for combo in itertools.product(*prepared):
+        deltas, acceptings, initials, dfas = zip(*combo)
+        result = _intersection_lss_tables(deltas, acceptings, initials)
+        if result is not None and (best is None or result.length > best.lss):
+            best = _Candidate(
+                lss=result.length,
+                key=tuple(dumps(d) for d in dfas),
+                dfas=dfas,
+                word=result.witness,
             )
-            if result is not None and (best is None or result.length > best.lss):
-                dfas = tuple(t[3] for t in tabs)
-                best = _Candidate(
-                    lss=result.length,
-                    key=tuple(dumps(d) for d in dfas),
-                    dfas=dfas,
-                    word=result.witness,
-                )
     return best
 
 
@@ -147,7 +137,10 @@ def tightness_search(
     together with a reproducible witness tuple.
 
     The result does not depend on the worker partitioning: slices are merged
-    by (max lss, then lexicographically least serialized tuple).
+    by (max lss, then lexicographically least serialized tuple).  Workers are
+    capped at the CPU count.  max_tuples bounds both the raw DFAs enumerated
+    to build the language lists (checked before any enumeration) and the
+    language tuples examined (checked before the scan).
     """
     sizes = tuple(sizes)
     if not sizes:
@@ -157,6 +150,11 @@ def tightness_search(
     if prod(sizes) > max_product_states:
         raise BudgetExceededError(
             f"product automaton may need {prod(sizes)} states, over the limit of {max_product_states}"
+        )
+    raw = sum(s ** (s * len(alphabet)) * 2**s for s in set(sizes))
+    if raw > max_tuples:
+        raise BudgetExceededError(
+            f"search needs {raw} raw DFAs enumerated, over the budget of {max_tuples}"
         )
 
     all_lists = [canonical_languages(s, alphabet) for s in sizes]
@@ -172,10 +170,10 @@ def tightness_search(
         )
 
     outer = len(nonempty_lists[0])
-    if workers <= 1 or outer < 2:
+    workers = min(workers, outer, os.cpu_count() or 1)
+    if workers <= 1:
         best = _scan_slice(nonempty_lists, 0, outer)
     else:
-        workers = min(workers, outer)
         bounds = [outer * w // workers for w in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [

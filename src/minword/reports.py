@@ -1,4 +1,4 @@
-"""Report builders shared by the CLI and the experiment scripts."""
+"""Witness reports for the mn-1 pair constructions, one pair or a range."""
 
 from __future__ import annotations
 

@@ -1,18 +1,18 @@
-"""Shortest accepted word via breadth-first search over states.
+"""Shortest accepted word via a breadth-first walk of the reachable product.
 
-Returns the lexicographically least word among the shortest: BFS discovers
-states in order of (distance, lex-least word reaching them) when successors
-are expanded in alphabet order, so the first accepting state discovered
-yields the canonical witness.
+Returns the lexicographically least word among the shortest: the walk
+discovers states in order of (distance, lex-least word reaching them) when
+successors are expanded in alphabet order, so the first all-accepting state
+discovered yields the canonical witness.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automaton import AlphabetMismatchError, Dfa, Word
+from .automaton import Dfa, Word
+from .product import shared_alphabet, walk
 
 
 @dataclass(frozen=True)
@@ -25,56 +25,22 @@ class LssResult:
 
 def shortest_accepted(dfa: Dfa) -> LssResult | None:
     """Shortest accepted word of a DFA, or None when the language is empty."""
-    if dfa.initial in dfa.accepting:
-        return LssResult(0, ())
-    if not dfa.accepting:
-        return None
-    width = len(dfa.alphabet)
-    pred: dict[int, tuple[int, int]] = {dfa.initial: (-1, -1)}
-    queue = deque((dfa.initial,))
-    while queue:
-        state = queue.popleft()
-        row = dfa.delta[state]
-        for sym in range(width):
-            target = row[sym]
-            if target in pred:
-                continue
-            pred[target] = (state, sym)
-            if target in dfa.accepting:
-                return _reconstruct(pred, dfa.initial, target)
-            queue.append(target)
-    return None
-
-
-def _reconstruct(pred: dict[int, tuple[int, int]], start: int, end: int) -> LssResult:
-    symbols: list[int] = []
-    state = end
-    while state != start:
-        state, sym = pred[state]
-        symbols.append(sym)
-    symbols.reverse()
-    return LssResult(len(symbols), tuple(symbols))
+    return intersection_lss([dfa])
 
 
 def intersection_lss(components: Sequence[Dfa]) -> LssResult | None:
     """Shortest word accepted by every component, or None if none exists.
 
-    Behaves exactly like shortest_accepted(product(components).dfa) but walks
-    reachable state tuples directly, which keeps exhaustive tuple searches fast.
+    Equals shortest_accepted(product(components).dfa), but stops the product
+    walk at the first all-accepting tuple instead of building the product.
     """
-    if not components:
-        raise ValueError("intersection requires at least one component")
-    alphabet = components[0].alphabet
-    for d in components[1:]:
-        if d.alphabet != alphabet:
-            raise AlphabetMismatchError(
-                f"components must share one alphabet: {d.alphabet.symbols} != {alphabet.symbols}"
-            )
+    shared_alphabet(components)
+    if not all(d.accepting for d in components):
+        return None
     return _intersection_lss_tables(
         [d.delta for d in components],
         [d.accepting for d in components],
         tuple(d.initial for d in components),
-        len(alphabet),
     )
 
 
@@ -82,26 +48,14 @@ def _intersection_lss_tables(
     deltas: Sequence[tuple[tuple[int, ...], ...]],
     acceptings: Sequence[frozenset[int]],
     start: tuple[int, ...],
-    width: int,
 ) -> LssResult | None:
-    if all(q in acc for q, acc in zip(start, acceptings)):
-        return LssResult(0, ())
-    pred: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {start: (start, -1)}
-    queue = deque((start,))
-    while queue:
-        current = queue.popleft()
-        for sym in range(width):
-            target = tuple(delta[q][sym] for delta, q in zip(deltas, current))
-            if target in pred:
-                continue
-            pred[target] = (current, sym)
-            if all(q in acc for q, acc in zip(target, acceptings)):
-                symbols = [sym]
-                state = current
-                while state != start:
-                    state, s = pred[state]
-                    symbols.append(s)
-                symbols.reverse()
-                return LssResult(len(symbols), tuple(symbols))
-            queue.append(target)
-    return None
+    found = walk(deltas, acceptings, start, stop=True)
+    if not found.accepting:
+        return None
+    symbols: list[int] = []
+    state = found.accepting[0]
+    while state:
+        state, sym = found.parents[state]
+        symbols.append(sym)
+    symbols.reverse()
+    return LssResult(len(symbols), tuple(symbols))

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from math import gcd, prod
 from random import Random
+from typing import Sequence
 
 from hypothesis import strategies as st
 
-from minword import BINARY, Alphabet, Dfa, accepts
+from minword import BINARY, Alphabet, Dfa, accepts, run
 
 
 def words_of_length(num_symbols: int, length: int):
@@ -29,11 +30,30 @@ def random_dfa(rng: Random, max_states: int, alphabet: Alphabet = BINARY) -> Dfa
     return Dfa(n, alphabet, rng.randrange(n), accepting, delta)
 
 
-def brute_force_shortest(dfa: Dfa, max_len: int):
-    """First accepted word in shortlex order, or None; independent of the BFS."""
-    for word in all_words(len(dfa.alphabet), max_len):
-        if accepts(dfa, word):
-            return word
+def brute_force_shortest(components: Sequence[Dfa], max_len: int | None = None):
+    """First word in shortlex order that every component accepts, or None.
+
+    Searches lengths up to max_len, by default prod(states) - 1, and is
+    independent of the product walk: it runs whole words through each
+    component.  Words of one length are generated in lex order by extending
+    the previous length's survivors, and of several words ending in the same
+    state tuple only the lex-first survives; a later one could be swapped for
+    it in any accepted word, giving a lex-smaller accepted word.
+    """
+    if max_len is None:
+        max_len = prod(d.state_count for d in components) - 1
+    width = len(components[0].alphabet)
+    survivors = [()]
+    for _ in range(max_len + 1):
+        for word in survivors:
+            if all(accepts(d, word) for d in components):
+                return word
+        ends: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for word in survivors:
+            for sym in range(width):
+                longer = word + (sym,)
+                ends.setdefault(tuple(run(d, longer) for d in components), longer)
+        survivors = list(ends.values())
     return None
 
 

@@ -153,8 +153,18 @@ def test_parse_word_unknown_symbol():
 
 def test_parse_word_multichar_labels():
     ab = Alphabet(("a", "ab"))
-    # greedy longest match
+    # the only split is ab.a.ab
     assert parse_word(ab, "abaab") == (1, 0, 1)
+
+
+def test_parse_word_not_greedy():
+    # a longest-label match would take "ab" and then fail on "c"
+    assert parse_word(Alphabet(("a", "ab", "bc")), "abc") == (0, 2)
+
+
+def test_parse_word_ambiguous():
+    with pytest.raises(ValueError, match="more than one way"):
+        parse_word(Alphabet(("a", "b", "ab")), "ab")
 
 
 def test_dfa_is_hashable_and_coerces_fields():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from minword import BINARY, Dfa, ones_mod_dfa, ramp_cycle_dfa, save_path, unary_residue_dfa
+from minword import enumeration
 from minword.cli import main
 
 
@@ -88,6 +89,9 @@ def test_witness_writes_dot_files(capsys, tmp_path):
         assert (out_dir / name).exists()
     product_text = (out_dir / "product.dot").read_text()
     assert "(p_0,q_0)" in product_text
+    code, exported, _ = run_cli(capsys, "export-dot", "product", "--m", "2", "--n", "3")
+    assert code == 0
+    assert exported == product_text
 
 
 # --- verify -----------------------------------------------------------------
@@ -177,6 +181,24 @@ def test_search_budget_exceeded(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_search_rejects_workers_below_one(capsys, workers):
+    code, out, err = run_cli(capsys, "search", "--sizes", "2,2", "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert "--workers" in err
+
+
+def test_search_raw_budget_fails_fast(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_dfas called despite the budget")
+
+    monkeypatch.setattr(enumeration, "enumerate_dfas", refuse)
+    code, _, err = run_cli(capsys, "search", "--sizes", "8,8", "--budget", "10")
+    assert code == 2
+    assert "budget" in err
+
+
 # --- lss --------------------------------------------------------------------
 
 
@@ -187,6 +209,14 @@ def pair_files(tmp_path):
     save_path(ones_mod_dfa(2), a)
     save_path(ramp_cycle_dfa(2, 3), b)
     return a, b
+
+
+def test_lss_csv_unsupported(capsys, pair_files):
+    a, b = pair_files
+    code, out, err = run_cli(capsys, "lss", "--dfa", str(a), "--dfa", str(b), "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "csv output is only available" in err
 
 
 def test_lss_pair(capsys, pair_files):

@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import pytest
 
 from minword import (
@@ -11,6 +13,7 @@ from minword import (
     tightness_search,
     validate,
 )
+from minword import enumeration
 from minword.enumeration import _merge, _scan_slice
 
 
@@ -121,6 +124,50 @@ def test_search_budget_guard_product_states():
 def test_search_budget_guard_tuples():
     with pytest.raises(BudgetExceededError, match="budget"):
         tightness_search([2, 2], max_tuples=10)
+
+
+def test_search_budget_guard_tuples_after_enumeration():
+    # 64 raw 2-state DFAs fit the budget; 25 * 25 nonempty tuples do not.
+    with pytest.raises(BudgetExceededError, match="625 tuples"):
+        tightness_search([2, 2], max_tuples=100)
+
+
+def test_search_budget_guard_raw_dfas_before_enumeration(monkeypatch):
+    # 8 * 8 product states pass the state guard; 8**16 * 2**8 raw DFAs must
+    # be refused before enumeration starts, not after it hangs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_dfas called despite the budget")
+
+    monkeypatch.setattr(enumeration, "enumerate_dfas", refuse)
+    with pytest.raises(BudgetExceededError, match="raw DFAs"):
+        tightness_search([8, 8], max_tuples=10)
+
+
+def test_search_caps_workers_at_cpu_count(monkeypatch):
+    requested = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: runs tasks inline, starts no process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+    report = tightness_search([2, 2], workers=1000)
+    assert requested == [3]
+    assert report == tightness_search([2, 2], workers=1)
 
 
 def test_partitioned_scans_merge_to_same_report():

@@ -85,7 +85,7 @@ def test_intersection_requires_components():
 @settings(max_examples=100, deadline=None)
 def test_bfs_matches_shortlex_brute_force(d):
     result = shortest_accepted(d)
-    oracle = brute_force_shortest(d, d.state_count)
+    oracle = brute_force_shortest([d], d.state_count)
     if result is None:
         assert oracle is None
     else:
@@ -102,10 +102,19 @@ def test_pumping_bound(d):
         assert result.length <= d.state_count - 1
 
 
-@given(a=dfas(max_states=4), b=dfas(max_states=4))
+@given(a=dfas(max_states=4), b=dfas(max_states=4), c=dfas(max_states=3))
 @settings(max_examples=60, deadline=None)
-def test_fused_intersection_equals_composed(a, b):
+def test_fused_intersection_equals_composed(a, b, c):
     assert intersection_lss([a, b]) == shortest_accepted(product([a, b]).dfa)
+    # Both sides above run the same product walk; the word oracle does not.
+    for components in ([a, b], [a, b, c]):
+        result = intersection_lss(components)
+        oracle = brute_force_shortest(components)
+        if result is None:
+            assert oracle is None
+        else:
+            assert result.witness == oracle
+            assert result.length == len(oracle)
 
 
 @given(a=dfas(max_states=5), b=dfas(max_states=5))
