@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 from .automaton import Alphabet, BINARY, Dfa, Word
 from .interchange import dumps
 from .minimize import minimize
-from .shortest import _intersection_lss_tables, shortest_accepted
+from .shortest import _intersection_lss_tables
 
 DEFAULT_MAX_PRODUCT_STATES = 64
 DEFAULT_MAX_TUPLES = 100_000_000
@@ -159,9 +159,9 @@ def tightness_search(
 
     all_lists = [canonical_languages(s, alphabet) for s in sizes]
     languages_per_size = tuple(len(lst) for lst in all_lists)
-    nonempty_lists = tuple(
-        tuple(d for d in lst if shortest_accepted(d) is not None) for lst in all_lists
-    )
+    # Minimized DFAs have only reachable states, so a language is nonempty
+    # exactly when its DFA has an accepting state.
+    nonempty_lists = tuple(tuple(d for d in lst if d.accepting) for lst in all_lists)
     total = prod(languages_per_size)
     examined = prod(len(lst) for lst in nonempty_lists)
     if examined > max_tuples:

@@ -1,9 +1,10 @@
 """DFA minimization by iterated partition refinement, with canonical numbering.
 
-Minimal complete DFAs are unique up to state renaming, so after renumbering
-states by breadth-first first-visit order two minimized DFAs are structurally
-equal exactly when they accept the same language.  That makes the output of
-minimize() usable directly as a dict key for language-level deduplication.
+Minimal complete DFAs are unique up to state renaming, so once states are
+numbered in breadth-first first-visit order two minimized DFAs are
+structurally equal exactly when they accept the same language.  That makes
+the output of minimize() usable directly as a dict key for language-level
+deduplication.  One breadth-first pass over the input yields that numbering.
 
 Dead states stay: the automaton remains complete, matching the convention
 that state complexity counts the states of a complete DFA.
@@ -11,9 +12,7 @@ that state complexity counts the states of a complete DFA.
 
 from __future__ import annotations
 
-from collections import deque
-
-from .automaton import AlphabetMismatchError, Dfa, reachable_states
+from .automaton import AlphabetMismatchError, Dfa
 
 # A CanonicalDfa is an ordinary Dfa in minimize() output form; equality of
 # canonical forms coincides with language equality over a shared alphabet.
@@ -23,64 +22,58 @@ CanonicalDfa = Dfa
 def minimize(dfa: Dfa) -> CanonicalDfa:
     """Minimal complete DFA for the same language, canonically numbered.
 
-    Unreachable states are dropped, then states are merged by Moore-style
-    refinement: start from the accepting/rejecting split and re-partition by
-    (own block, blocks of successors) until the partition stops growing.
+    One pass numbers the reachable states in breadth-first first-visit order,
+    symbols in alphabet order, and builds their rows.  Moore refinement then
+    splits accepting from rejecting states and re-partitions by (own block,
+    blocks of successors) until the partition stops growing; block ids are
+    assigned by first occurrence in that order.  They are already the
+    breadth-first numbering of the quotient: the least word reaching a block
+    is the least word reaching its first-discovered member.  So each output
+    row is the first member's row mapped through the block ids.
     """
-    width = len(dfa.alphabet)
-    states = sorted(reachable_states(dfa))
-    delta = dfa.delta
+    accepting = dfa.accepting
+    index = {dfa.initial: 0}
+    order = [dfa.initial]
+    rows: list[list[int]] = []
+    # order grows while it is iterated: it is the BFS queue as well.
+    for q in order:
+        row = []
+        for target in dfa.delta[q]:
+            idx = index.get(target)
+            if idx is None:
+                idx = index[target] = len(order)
+                order.append(target)
+            row.append(idx)
+        rows.append(row)
 
-    # Initial split by acceptance, block ids assigned by first occurrence so
-    # they stay dense even when one side is empty.
-    block: dict[int, int] = {}
+    # First-occurrence ids stay dense even when one side of the split is empty.
     seen: dict[bool, int] = {}
-    for q in states:
-        key = q in dfa.accepting
-        if key not in seen:
-            seen[key] = len(seen)
-        block[q] = seen[key]
-
+    block = [seen.setdefault(q in accepting, len(seen)) for q in order]
     n_blocks = len(seen)
     while True:
-        sigs: dict[tuple, int] = {}
-        new_block: dict[int, int] = {}
-        for q in states:
-            sig = (block[q],) + tuple(block[delta[q][c]] for c in range(width))
-            idx = sigs.get(sig)
-            if idx is None:
-                idx = sigs[sig] = len(sigs)
-            new_block[q] = idx
+        sigs: dict[tuple[int, ...], int] = {}
+        refined = [
+            sigs.setdefault((b, *[block[t] for t in row]), len(sigs))
+            for b, row in zip(block, rows)
+        ]
+        # The new partition refines the old one; with as many blocks it is the
+        # same partition, numbered the same way.
         if len(sigs) == n_blocks:
             break
-        block = new_block
+        block = refined
         n_blocks = len(sigs)
 
-    representative: dict[int, int] = {}
-    for q in states:
-        representative.setdefault(block[q], q)
-
-    # Breadth-first renumbering from the initial block, symbols in order.
-    order: dict[int, int] = {block[dfa.initial]: 0}
-    queue = deque((block[dfa.initial],))
-    rows: list[tuple[int, ...]] = []
-    while queue:
-        b = queue.popleft()
-        rep = representative[b]
-        row = []
-        for c in range(width):
-            tb = block[delta[rep][c]]
-            idx = order.get(tb)
-            if idx is None:
-                idx = order[tb] = len(order)
-                queue.append(tb)
-            row.append(idx)
-        rows.append(tuple(row))
-
-    accepting = frozenset(
-        order[b] for b in order if representative[b] in dfa.accepting
+    firsts: list[int] = []
+    for i, b in enumerate(block):
+        if b == len(firsts):
+            firsts.append(i)
+    return Dfa(
+        n_blocks,
+        dfa.alphabet,
+        0,
+        frozenset(b for b, i in enumerate(firsts) if order[i] in accepting),
+        [[block[t] for t in rows[i]] for i in firsts],
     )
-    return Dfa(len(order), dfa.alphabet, 0, accepting, tuple(rows))
 
 
 def state_complexity(dfa: Dfa) -> int:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from math import gcd, prod
 from random import Random
 from typing import Sequence
 
 from hypothesis import strategies as st
 
-from minword import BINARY, Alphabet, Dfa, accepts, run
+from minword import BINARY, Alphabet, Dfa, accepts, reachable_states, run
 
 
 def words_of_length(num_symbols: int, length: int):
@@ -55,6 +56,72 @@ def brute_force_shortest(components: Sequence[Dfa], max_len: int | None = None):
                 ends.setdefault(tuple(run(d, longer) for d in components), longer)
         survivors = list(ends.values())
     return None
+
+
+def minimize_two_pass(dfa: Dfa) -> Dfa:
+    """Minimal complete DFA for the same language, canonically numbered.
+
+    An oracle for minimize() that walks the DFA twice: once for the
+    reachable states, and once more to renumber the blocks breadth-first.
+
+    Unreachable states are dropped, then states are merged by Moore-style
+    refinement: start from the accepting/rejecting split and re-partition by
+    (own block, blocks of successors) until the partition stops growing.
+    """
+    width = len(dfa.alphabet)
+    states = sorted(reachable_states(dfa))
+    delta = dfa.delta
+
+    # Initial split by acceptance, block ids assigned by first occurrence so
+    # they stay dense even when one side is empty.
+    block: dict[int, int] = {}
+    seen: dict[bool, int] = {}
+    for q in states:
+        key = q in dfa.accepting
+        if key not in seen:
+            seen[key] = len(seen)
+        block[q] = seen[key]
+
+    n_blocks = len(seen)
+    while True:
+        sigs: dict[tuple, int] = {}
+        new_block: dict[int, int] = {}
+        for q in states:
+            sig = (block[q],) + tuple(block[delta[q][c]] for c in range(width))
+            idx = sigs.get(sig)
+            if idx is None:
+                idx = sigs[sig] = len(sigs)
+            new_block[q] = idx
+        if len(sigs) == n_blocks:
+            break
+        block = new_block
+        n_blocks = len(sigs)
+
+    representative: dict[int, int] = {}
+    for q in states:
+        representative.setdefault(block[q], q)
+
+    # Breadth-first renumbering from the initial block, symbols in order.
+    order: dict[int, int] = {block[dfa.initial]: 0}
+    queue = deque((block[dfa.initial],))
+    rows: list[tuple[int, ...]] = []
+    while queue:
+        b = queue.popleft()
+        rep = representative[b]
+        row = []
+        for c in range(width):
+            tb = block[delta[rep][c]]
+            idx = order.get(tb)
+            if idx is None:
+                idx = order[tb] = len(order)
+                queue.append(tb)
+            row.append(idx)
+        rows.append(tuple(row))
+
+    accepting = frozenset(
+        order[b] for b in order if representative[b] in dfa.accepting
+    )
+    return Dfa(len(order), dfa.alphabet, 0, accepting, tuple(rows))
 
 
 def crt_min_length(m: int, n: int) -> int:

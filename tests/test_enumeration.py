@@ -49,10 +49,13 @@ def test_languages_with_two_states_frozen_count():
 
 
 def test_canonical_language_members_are_canonical():
-    for d in canonical_languages(2):
-        assert state_complexity(d) == d.state_count
-        assert d.state_count <= 2
-        assert minimize(d) == d
+    for s in (1, 2, 3):
+        for d in canonical_languages(s):
+            assert state_complexity(d) == d.state_count
+            assert d.state_count <= s
+            assert minimize(d) == d
+            # every state is reachable, so the search's nonempty filter holds
+            assert bool(d.accepting) == (shortest_accepted(d) is not None)
 
 
 def test_canonical_languages_sorted_deterministically():

@@ -1,7 +1,7 @@
 """Minimization oracles: refinement results cross-checked word by word."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from minword import (
     AlphabetMismatchError,
@@ -20,8 +20,9 @@ from minword import (
     state_complexity,
     unary_residue_dfa,
 )
+from minword.product import walk
 
-from helpers import all_words, dfas
+from helpers import all_words, dfas, minimize_two_pass
 
 
 def test_minimize_single_state():
@@ -67,6 +68,12 @@ def test_equivalent_to_own_minimization_all_2_state():
         # word-by-word cross-check up to twice the state count
         for w in all_words(2, 2 * d.state_count):
             assert accepts(d, w) == accepts(m, w)
+
+
+@pytest.mark.parametrize("states", [1, 2, 3])
+def test_minimize_equals_two_pass_oracle_on_all_raw_dfas(states):
+    for d in enumerate_dfas(states):
+        assert minimize(d) == minimize_two_pass(d)
 
 
 def test_equivalent_distinguishes_moduli():
@@ -126,11 +133,29 @@ def test_minimize_preserves_language(d):
         assert accepts(d, w) == accepts(m, w)
 
 
-@given(d=dfas(max_states=5))
+@given(d=dfas(max_states=5), data=st.data())
 @settings(max_examples=100, deadline=None)
-def test_canonical_form_is_tidy(d):
+def test_canonical_form_is_tidy(d, data):
     m = minimize(d)
     assert m.initial == 0
     assert reachable_states(m) == set(range(m.state_count))
     # no further merges possible
     assert state_complexity(m) == m.state_count
+    assert m == minimize_two_pass(d)
+    # the numbering is breadth-first: a walk discovers states 0..k-1 in order
+    assert walk([m.delta], [m.accepting], (m.initial,)).tags == [
+        (q,) for q in range(m.state_count)
+    ]
+    # renaming the input's states, the initial one included, changes nothing
+    perm = data.draw(st.permutations(range(d.state_count)))
+    renamed = Dfa(
+        d.state_count,
+        d.alphabet,
+        perm[d.initial],
+        frozenset(perm[q] for q in d.accepting),
+        tuple(
+            tuple(perm[t] for t in d.delta[perm.index(q)])
+            for q in range(d.state_count)
+        ),
+    )
+    assert minimize(renamed) == m
