@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
-from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .automaton import AlphabetMismatchError, Dfa, InvalidDfaError, format_word
+from .automaton import format_word
 from .constructions import ones_mod_dfa, ramp_cycle_dfa
 from .dot import to_dot
 from .enumeration import (
@@ -25,25 +25,14 @@ from .enumeration import (
     SearchReport,
     tightness_search,
 )
-from .interchange import InterchangeError, load_path, to_document
+from .interchange import load_path, to_document
 from .product import product
-from .reports import build_witness_report, verify_range
+from .reports import WitnessReport, build_witness_report, verify_range
 from .shortest import intersection_lss
 
 SCHEMA_VERSION = 1
 
-_WITNESS_COLUMNS = [
-    "m",
-    "n",
-    "expected",
-    "lss",
-    "witness",
-    "formula_word",
-    "formula_word_accepted",
-    "sc_ones",
-    "sc_ramp",
-    "passed",
-]
+_WITNESS_COLUMNS = [f.name for f in dataclasses.fields(WitnessReport)]
 
 
 def _fmt(value) -> str:
@@ -52,16 +41,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _document(command: str, fields: dict, args) -> dict:
-    doc = {"schema_version": SCHEMA_VERSION, "command": command}
-    doc.update(fields)
-    if getattr(args, "timestamp", False):
+def _emit_json(command: str, fields: dict, args) -> None:
+    doc = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
+    if args.timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return doc
-
-
-def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
+
+
+def _emit_text(fields: dict) -> None:
+    """One `key: value` line per field; `witness_dfas` as indented compact JSON."""
+    for key, value in fields.items():
+        if key == "witness_dfas":
+            print("witness_dfas:")
+            for doc in value:
+                print(f"  {json.dumps(doc, separators=(',', ':'))}")
+        elif isinstance(value, list):
+            print(f"{key}: {','.join(map(str, value))}")
+        else:
+            print(f"{key}: {_fmt(value)}")
 
 
 def _emit_csv(rows: list[dict], columns: list[str]) -> None:
@@ -80,40 +77,33 @@ def _swap_sizes(m: int, n: int) -> tuple[int, int]:
     return m, n
 
 
-def _ones_labels(m: int) -> list[str]:
-    return [f"p_{a}" for a in range(m)]
-
-
-def _ramp_labels(n: int) -> list[str]:
-    return [f"q_{a}" for a in range(n)]
-
-
-def _product_dot(m: int, n: int) -> str:
+def _construction_dot(name: str, m: int, n: int) -> str:
+    """DOT of `ones` (states p_a), `ramp` (q_b) or their `product` ((p_a,q_b))."""
+    ones = [f"p_{a}" for a in range(m)]
+    if name == "ones":
+        return to_dot(ones_mod_dfa(m), ones, name=name)
+    ramp = [f"q_{b}" for b in range(n)]
+    if name == "ramp":
+        return to_dot(ramp_cycle_dfa(m, n), ramp, name=name)
     prod = product([ones_mod_dfa(m), ramp_cycle_dfa(m, n)])
-    ones, ramp = _ones_labels(m), _ramp_labels(n)
-    labels = [f"({ones[a]},{ramp[b]})" for a, b in prod.tags]
-    return to_dot(prod.dfa, labels, name="product")
-
-
-def _write_construction_dots(m: int, n: int, directory: Path) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "ones.dot").write_text(to_dot(ones_mod_dfa(m), _ones_labels(m), name="ones"))
-    (directory / "ramp.dot").write_text(to_dot(ramp_cycle_dfa(m, n), _ramp_labels(n), name="ramp"))
-    (directory / "product.dot").write_text(_product_dot(m, n))
+    return to_dot(prod.dfa, [f"({ones[a]},{ramp[b]})" for a, b in prod.tags], name=name)
 
 
 def cmd_witness(args) -> int:
     m, n = _swap_sizes(args.m, args.n)
     report = build_witness_report(m, n)
     if args.dot:
-        _write_construction_dots(m, n, Path(args.dot))
+        directory = Path(args.dot)
+        directory.mkdir(parents=True, exist_ok=True)
+        for name in ("ones", "ramp", "product"):
+            (directory / f"{name}.dot").write_text(_construction_dot(name, m, n))
+    row = dataclasses.asdict(report)
     if args.format == "structured":
-        _emit_json(_document("witness", asdict(report), args))
+        _emit_json("witness", row, args)
     elif args.format == "csv":
-        _emit_csv([asdict(report)], _WITNESS_COLUMNS)
+        _emit_csv([row], _WITNESS_COLUMNS)
     else:
-        for col in _WITNESS_COLUMNS:
-            print(f"{col}: {_fmt(getattr(report, col))}")
+        _emit_text(row)
     return 0 if report.passed else 1
 
 
@@ -121,18 +111,17 @@ def cmd_verify(args) -> int:
     rows = verify_range(args.max_n)
     all_passed = all(r.passed for r in rows)
     if args.format == "structured":
-        doc = _document(
+        _emit_json(
             "verify",
             {
                 "max_n": args.max_n,
-                "rows": [asdict(r) for r in rows],
+                "rows": [dataclasses.asdict(r) for r in rows],
                 "all_passed": all_passed,
             },
             args,
         )
-        _emit_json(doc)
     elif args.format == "csv":
-        _emit_csv([asdict(r) for r in rows], _WITNESS_COLUMNS)
+        _emit_csv([dataclasses.asdict(r) for r in rows], _WITNESS_COLUMNS)
     else:
         header = f"{'m':>3} {'n':>3} {'expected':>9} {'lss':>9} {'sc_ones':>7} {'sc_ramp':>7} {'formula_ok':>10} {'passed':>6}"
         print(header)
@@ -165,22 +154,14 @@ def cmd_search(args) -> int:
     report = tightness_search(args.sizes, workers=args.workers, max_tuples=args.budget)
     fields = _search_fields(report)
     if args.format == "structured":
-        _emit_json(_document("search", fields, args))
+        _emit_json("search", fields, args)
     else:
-        for key, value in fields.items():
-            if key == "witness_dfas":
-                print("witness_dfas:")
-                for doc in value:
-                    print(f"  {json.dumps(doc, separators=(',', ':'))}")
-            elif isinstance(value, list):
-                print(f"{key}: {','.join(map(str, value))}")
-            else:
-                print(f"{key}: {_fmt(value)}")
+        _emit_text(fields)
     return 0
 
 
 def cmd_lss(args) -> int:
-    dfas: list[Dfa] = [load_path(path) for path in args.dfa]
+    dfas = [load_path(path) for path in args.dfa]
     result = intersection_lss(dfas)
     empty = result is None
     fields = {
@@ -190,43 +171,31 @@ def cmd_lss(args) -> int:
         "witness": None if empty else format_word(dfas[0].alphabet, result.witness),
     }
     if args.format == "structured":
-        _emit_json(_document("lss", fields, args))
+        _emit_json("lss", fields, args)
+    elif empty:
+        print("empty intersection")
     else:
-        if empty:
-            print("empty intersection")
-        else:
-            print(f"length: {result.length}")
-            print(f"witness: {fields['witness']}")
+        _emit_text({"length": fields["length"], "witness": fields["witness"]})
     return 1 if empty else 0
 
 
 def cmd_export_dot(args) -> int:
     if args.dfa:
         if args.source is not None:
-            print("error: give either a construction name or --dfa, not both", file=sys.stderr)
-            return 2
+            raise ValueError("give either a construction name or --dfa, not both")
         if len(args.dfa) > 1:
-            print("error: export-dot renders a single DFA file", file=sys.stderr)
-            return 2
+            raise ValueError("export-dot renders a single DFA file")
         text = to_dot(load_path(args.dfa[0]))
+    elif args.source is None:
+        raise ValueError("need a construction name (ones|ramp|product) or --dfa")
+    elif args.m is None:
+        raise ValueError("constructions need --m")
+    elif args.source == "ones":
+        text = _construction_dot("ones", args.m, args.n)
+    elif args.n is None:
+        raise ValueError(f"construction {args.source!r} needs --m and --n")
     else:
-        if args.source is None:
-            print("error: need a construction name (ones|ramp|product) or --dfa", file=sys.stderr)
-            return 2
-        if args.m is None:
-            print("error: constructions need --m", file=sys.stderr)
-            return 2
-        if args.source == "ones":
-            text = to_dot(ones_mod_dfa(args.m), _ones_labels(args.m), name="ones")
-        else:
-            if args.n is None:
-                print(f"error: construction {args.source!r} needs --m and --n", file=sys.stderr)
-                return 2
-            m, n = _swap_sizes(args.m, args.n)
-            if args.source == "ramp":
-                text = to_dot(ramp_cycle_dfa(m, n), _ramp_labels(n), name="ramp")
-            else:
-                text = _product_dot(m, n)
+        text = _construction_dot(args.source, *_swap_sizes(args.m, args.n))
     if args.dot:
         Path(args.dot).write_text(text)
     else:
@@ -308,14 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (
-        InterchangeError,
-        InvalidDfaError,
-        AlphabetMismatchError,
-        BudgetExceededError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, BudgetExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,7 @@ from .interchange import dumps
 from .minimize import minimize
 from .shortest import _intersection_lss_tables
 
-DEFAULT_MAX_PRODUCT_STATES = 64
+MAX_PRODUCT_STATES = 64
 DEFAULT_MAX_TUPLES = 100_000_000
 
 
@@ -82,7 +82,6 @@ class SearchReport:
 @dataclass(frozen=True)
 class _Candidate:
     lss: int
-    key: tuple[str, ...]
     dfas: tuple[Dfa, ...]
     word: Word
 
@@ -102,30 +101,19 @@ def _scan_slice(
         deltas, acceptings, initials, dfas = zip(*combo)
         result = _intersection_lss_tables(deltas, acceptings, initials)
         if result is not None and (best is None or result.length > best.lss):
-            best = _Candidate(
-                lss=result.length,
-                key=tuple(dumps(d) for d in dfas),
-                dfas=dfas,
-                word=result.witness,
-            )
+            best = _Candidate(result.length, dfas, result.witness)
     return best
 
 
 def _merge(candidates: Sequence[_Candidate | None]) -> _Candidate | None:
-    best: _Candidate | None = None
-    for cand in candidates:
-        if cand is None:
-            continue
-        if best is None or cand.lss > best.lss or (cand.lss == best.lss and cand.key < best.key):
-            best = cand
-    return best
+    """Best of consecutive slices' candidates; ties keep the earliest slice."""
+    return max(filter(None, candidates), key=lambda c: c.lss, default=None)
 
 
 def tightness_search(
     sizes: Sequence[int],
     alphabet: Alphabet = BINARY,
     workers: int = 1,
-    max_product_states: int = DEFAULT_MAX_PRODUCT_STATES,
     max_tuples: int = DEFAULT_MAX_TUPLES,
 ) -> SearchReport:
     """Exhaustively search size-bounded language tuples for the maximum lss.
@@ -136,8 +124,10 @@ def tightness_search(
     reports the maximum shortest-word length over nonempty intersections
     together with a reproducible witness tuple.
 
-    The result does not depend on the worker partitioning: slices are merged
-    by (max lss, then lexicographically least serialized tuple).  Workers are
+    The result does not depend on the worker partitioning: slices cover
+    consecutive outer indices and are merged by max lss, ties keeping the
+    earliest slice, which holds the lexicographically least serialized
+    tuple.  Products over MAX_PRODUCT_STATES states are refused.  Workers are
     capped at the CPU count.  max_tuples bounds both the raw DFAs enumerated
     to build the language lists (checked before any enumeration) and the
     language tuples examined (checked before the scan).
@@ -147,9 +137,9 @@ def tightness_search(
         raise ValueError("sizes must be nonempty")
     if any(s < 1 for s in sizes):
         raise ValueError(f"sizes must be positive, got {sizes}")
-    if prod(sizes) > max_product_states:
+    if prod(sizes) > MAX_PRODUCT_STATES:
         raise BudgetExceededError(
-            f"product automaton may need {prod(sizes)} states, over the limit of {max_product_states}"
+            f"product automaton may need {prod(sizes)} states, over the limit of {MAX_PRODUCT_STATES}"
         )
     raw = sum(s ** (s * len(alphabet)) * 2**s for s in set(sizes))
     if raw > max_tuples:

@@ -82,15 +82,15 @@ def dumps(dfa: Dfa, indent: int | None = None) -> str:
 def loads(text: str) -> Dfa:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InterchangeError(f"invalid JSON: {exc}") from exc
     return from_document(doc)
 
 
-def load_path(path: str | Path, check: bool = True) -> Dfa:
+def load_path(path: str | Path) -> Dfa:
+    """Read and validate a DFA document."""
     dfa = loads(Path(path).read_text())
-    if check:
-        validate(dfa)
+    validate(dfa)
     return dfa
 
 

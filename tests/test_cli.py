@@ -87,11 +87,11 @@ def test_witness_writes_dot_files(capsys, tmp_path):
     assert code == 0
     for name in ("ones.dot", "ramp.dot", "product.dot"):
         assert (out_dir / name).exists()
-    product_text = (out_dir / "product.dot").read_text()
-    assert "(p_0,q_0)" in product_text
-    code, exported, _ = run_cli(capsys, "export-dot", "product", "--m", "2", "--n", "3")
-    assert code == 0
-    assert exported == product_text
+    assert "(p_0,q_0)" in (out_dir / "product.dot").read_text()
+    for name in ("ones", "ramp", "product"):
+        code, exported, _ = run_cli(capsys, "export-dot", name, "--m", "2", "--n", "3")
+        assert code == 0
+        assert exported == (out_dir / f"{name}.dot").read_text()
 
 
 # --- verify -----------------------------------------------------------------
@@ -271,6 +271,15 @@ def test_lss_alphabet_mismatch(capsys, tmp_path):
     assert "alphabet" in err
 
 
+def test_lss_deeply_nested_json(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run_cli(capsys, "lss", "--dfa", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid JSON")
+
+
 def test_lss_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "lss", "--dfa", str(tmp_path / "nope.json"))
     assert code == 2
@@ -340,6 +349,81 @@ def test_export_ramp_requires_n(capsys):
     code, _, err = run_cli(capsys, "export-dot", "ramp", "--m", "2")
     assert code == 2
     assert "--n" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((), "need a construction name (ones|ramp|product) or --dfa"),
+        (("ones",), "constructions need --m"),
+        (("ramp",), "constructions need --m"),
+        (("ramp", "--m", "2"), "construction 'ramp' needs --m and --n"),
+        (("product", "--m", "2"), "construction 'product' needs --m and --n"),
+        (("ones", "--m", "2", "--dfa", "a.json"), "give either a construction name or --dfa, not both"),
+        (("--dfa", "a.json", "--dfa", "b.json"), "export-dot renders a single DFA file"),
+    ],
+)
+def test_export_usage_errors_exact(capsys, argv, message):
+    code, out, err = run_cli(capsys, "export-dot", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+# --- byte-exact output ---------------------------------------------------------
+
+_WITNESS_2_3_TEXT = """\
+m: 2
+n: 3
+expected: 5
+lss: 5
+witness: 10010
+formula_word: 10010
+formula_word_accepted: true
+sc_ones: 2
+sc_ramp: 3
+passed: true
+"""
+
+_WITNESS_2_3_CSV = """\
+m,n,expected,lss,witness,formula_word,formula_word_accepted,sc_ones,sc_ramp,passed
+2,3,5,5,10010,10010,true,2,3,true
+"""
+
+_SEARCH_2_2_TEXT = """\
+sizes: 2,2
+target: 3
+max_lss: 3
+attained: true
+tuples_examined: 625
+tuples_skipped: 51
+languages_per_size: 26,26
+witness_word: 101
+witness_dfas:
+  {"states":2,"alphabet":["0","1"],"initial":0,"accepting":[0],"delta":[[0,1],[1,0]]}
+  {"states":2,"alphabet":["0","1"],"initial":0,"accepting":[1],"delta":[[0,1],[0,0]]}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code, expected_out",
+    [
+        (("witness", "--m", "2", "--n", "3"), 0, _WITNESS_2_3_TEXT),
+        (("witness", "--m", "2", "--n", "3", "--format", "csv"), 0, _WITNESS_2_3_CSV),
+        (("search", "--sizes", "2,2"), 0, _SEARCH_2_2_TEXT),
+        (("lss", "--dfa", "{ones}", "--dfa", "{ramp}"), 0, "length: 5\nwitness: 10010\n"),
+        (("lss", "--dfa", "{empty}"), 1, "empty intersection\n"),
+    ],
+)
+def test_stdout_exact(capsys, tmp_path, pair_files, argv, expected_code, expected_out):
+    empty = tmp_path / "empty.json"
+    save_path(Dfa(1, BINARY, 0, frozenset(), ((0, 0),)), empty)
+    ones, ramp = pair_files
+    argv = [arg.format(ones=ones, ramp=ramp, empty=empty) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected_code
+    assert out == expected_out
+    assert err == ""
 
 
 # --- global behavior ---------------------------------------------------------

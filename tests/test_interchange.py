@@ -80,6 +80,13 @@ def test_invalid_json_rejected():
         loads("{not json")
 
 
+@pytest.mark.parametrize("opening, inner, closing", [("[", "", "]"), ('{"a":', "0", "}")], ids=["array", "object"])
+def test_deeply_nested_json_rejected(opening, inner, closing):
+    depth = 200_000
+    with pytest.raises(InterchangeError, match="invalid JSON"):
+        loads(opening * depth + inner + closing * depth)
+
+
 def test_non_object_rejected():
     with pytest.raises(InterchangeError, match="JSON object"):
         loads("[1, 2]")
@@ -98,4 +105,4 @@ def test_load_path_validates(tmp_path):
     save_path(bad, path)
     with pytest.raises(InvalidDfaError):
         load_path(path)
-    assert load_path(path, check=False) == bad
+    assert loads(path.read_text()) == bad
