@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import io
 import json
+import signal
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -149,9 +150,7 @@ def _search_fields(report: SearchReport) -> dict:
 
 
 def cmd_search(args) -> int:
-    if args.workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    report = tightness_search(args.sizes, workers=args.workers, max_tuples=args.budget)
+    report = tightness_search(args.sizes, max_tuples=args.budget)
     fields = _search_fields(report)
     if args.format == "structured":
         _emit_json("search", fields, args)
@@ -191,6 +190,8 @@ def cmd_export_dot(args) -> int:
     elif args.m is None:
         raise ValueError("constructions need --m")
     elif args.source == "ones":
+        if args.n is not None:
+            raise ValueError("construction 'ones' takes only --m, not --n")
         text = _construction_dot("ones", args.m, args.n)
     elif args.n is None:
         raise ValueError(f"construction {args.source!r} needs --m and --n")
@@ -247,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive tuple search for the maximum intersection lss")
     p.add_argument("--sizes", type=_parse_sizes, required=True, metavar="A,B,...")
-    p.add_argument("--workers", type=int, default=1, help="worker processes, at most the CPU count")
     p.add_argument("--budget", type=int, default=DEFAULT_MAX_TUPLES, help="maximum raw DFAs to enumerate and tuples to examine")
     add_common(p)
     p.set_defaults(func=cmd_search)
@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--dfa", action="append", metavar="PATH")
     p.add_argument("--dot", metavar="PATH", help="output file (stdout if omitted)")
-    add_common(p)
     p.set_defaults(func=cmd_export_dot)
 
     return parser
@@ -272,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format == "csv" and args.command in ("search", "lss"):
+    if args.command in ("search", "lss") and args.format == "csv":
         print("error: csv output is only available for tabular commands (witness, verify)", file=sys.stderr)
         return 2
     try:
@@ -283,6 +282,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # Die silently of SIGPIPE when the reader closes the pipe, as Unix filters do.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

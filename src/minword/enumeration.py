@@ -14,8 +14,6 @@ minimal DFAs per size, which is exact and far smaller.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -24,6 +22,7 @@ from typing import Iterator, Sequence
 from .automaton import Alphabet, BINARY, Dfa, Word
 from .interchange import dumps
 from .minimize import minimize
+from .product import product
 from .shortest import _intersection_lss_tables
 
 MAX_PRODUCT_STATES = 64
@@ -79,58 +78,34 @@ class SearchReport:
     languages_per_size: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    lss: int
-    dfas: tuple[Dfa, ...]
-    word: Word
-
-
-def _scan_slice(
-    lists: tuple[tuple[Dfa, ...], ...], start: int, stop: int
-) -> _Candidate | None:
-    """Best tuple over outer indices [start, stop); ties keep the earliest.
-
-    Lists are sorted by serialization, so iteration order is lexicographic on
-    the serialized tuple and "earliest" equals "lexicographically least".
-    """
-    sliced = (lists[0][start:stop],) + lists[1:]
-    prepared = [[(d.delta, d.accepting, d.initial, d) for d in lst] for lst in sliced]
-    best: _Candidate | None = None
-    for combo in itertools.product(*prepared):
-        deltas, acceptings, initials, dfas = zip(*combo)
-        result = _intersection_lss_tables(deltas, acceptings, initials)
-        if result is not None and (best is None or result.length > best.lss):
-            best = _Candidate(result.length, dfas, result.witness)
-    return best
-
-
-def _merge(candidates: Sequence[_Candidate | None]) -> _Candidate | None:
-    """Best of consecutive slices' candidates; ties keep the earliest slice."""
-    return max(filter(None, candidates), key=lambda c: c.lss, default=None)
-
-
 def tightness_search(
     sizes: Sequence[int],
     alphabet: Alphabet = BINARY,
-    workers: int = 1,
     max_tuples: int = DEFAULT_MAX_TUPLES,
 ) -> SearchReport:
     """Exhaustively search size-bounded language tuples for the maximum lss.
 
-    Iterates the Cartesian product of canonical_languages(s) for each size s,
-    skipping tuples that contain the empty language (their intersection is
-    empty by construction; they are counted as skipped, not examined), and
-    reports the maximum shortest-word length over nonempty intersections
-    together with a reproducible witness tuple.
+    The tuples take one language from canonical_languages(s) per size s.
+    Tuples containing the empty language are skipped (their intersection is
+    empty by construction; they are counted as skipped, not examined).  The
+    report gives the maximum shortest-word length over nonempty
+    intersections and the least index tuple attaining it; the lists are
+    sorted by serialization, so that is the least serialized tuple.
 
-    The result does not depend on the worker partitioning: slices cover
-    consecutive outer indices and are merged by max lss, ties keeping the
-    earliest slice, which holds the lexicographically least serialized
-    tuple.  Products over MAX_PRODUCT_STATES states are refused.  Workers are
-    capped at the CPU count.  max_tuples bounds both the raw DFAs enumerated
-    to build the language lists (checked before any enumeration) and the
-    language tuples examined (checked before the scan).
+    A tuple's lss depends only on its intersection language, so all sizes
+    but the last are folded into intersection classes, starting from the
+    full language, and each class keeps the least index tuple reaching it.
+    Classes are visited in key order, so the first key stored for a class
+    is its least: a prefix reaching it extends some key k of a class C, C's
+    least key is no larger than k, and the same extension of it reaches the
+    same intersection.  The last size is walked against every class in the
+    same order, keeping the first strictly larger lss, and the walk stops at
+    the target prod(sizes) - 1, which no lss exceeds.  The shortlex-least
+    witness word depends only on the intersection, so it is unchanged.
+
+    Products over MAX_PRODUCT_STATES states are refused.  max_tuples bounds
+    both the raw DFAs enumerated to build the language lists (checked before
+    any enumeration) and the language tuples (checked before the fold).
     """
     sizes = tuple(sizes)
     if not sizes:
@@ -159,30 +134,35 @@ def tightness_search(
             f"search needs {examined} tuples, over the budget of {max_tuples}"
         )
 
-    outer = len(nonempty_lists[0])
-    workers = min(workers, outer, os.cpu_count() or 1)
-    if workers <= 1:
-        best = _scan_slice(nonempty_lists, 0, outer)
-    else:
-        bounds = [outer * w // workers for w in range(workers + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_scan_slice, nonempty_lists, bounds[w], bounds[w + 1])
-                for w in range(workers)
-            ]
-            best = _merge([f.result() for f in futures])
+    *heads, last = nonempty_lists
+    full = Dfa(1, alphabet, 0, frozenset({0}), ((0,) * len(alphabet),))
+    classes = {full: ()}
+    for lst in heads:
+        folded: dict[Dfa, tuple[int, ...]] = {}
+        for (cls, key), (i, d) in itertools.product(classes.items(), enumerate(lst)):
+            meet = minimize(product([cls, d]).dfa)
+            if meet.accepting:
+                folded.setdefault(meet, key + (i,))
+        classes = folded
 
-    # Every list contains the full language (state complexity 1), so some
-    # tuple always has a nonempty intersection.
-    assert best is not None
     target = prod(sizes) - 1
+    best_lss, best_key, best_word = -1, (), ()
+    for (cls, key), (i, d) in itertools.product(classes.items(), enumerate(last)):
+        result = _intersection_lss_tables(
+            (cls.delta, d.delta), (cls.accepting, d.accepting), (cls.initial, d.initial)
+        )
+        if result is not None and result.length > best_lss:
+            best_lss, best_key, best_word = result.length, key + (i,), result.witness
+            if best_lss == target:
+                break
+
     return SearchReport(
         sizes=sizes,
         target=target,
-        max_lss=best.lss,
-        witness_dfas=best.dfas,
-        witness_word=best.word,
-        attained=best.lss == target,
+        max_lss=best_lss,
+        witness_dfas=tuple(lst[i] for lst, i in zip(nonempty_lists, best_key)),
+        witness_word=best_word,
+        attained=best_lss == target,
         tuples_examined=examined,
         tuples_skipped=total - examined,
         languages_per_size=languages_per_size,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 from collections import deque
 from math import gcd, prod
 from random import Random
@@ -10,7 +11,15 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
+import minword
 from minword import BINARY, Alphabet, Dfa, accepts, reachable_states, run
+from minword.shortest import _intersection_lss_tables
+
+
+def src_env() -> dict[str, str]:
+    """The environment with minword's source first on PYTHONPATH, for child interpreters."""
+    src = os.path.dirname(os.path.dirname(minword.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def words_of_length(num_symbols: int, length: int):
@@ -122,6 +131,24 @@ def minimize_two_pass(dfa: Dfa) -> Dfa:
         order[b] for b in order if representative[b] in dfa.accepting
     )
     return Dfa(len(order), dfa.alphabet, 0, accepting, tuple(rows))
+
+
+def scan_oracle(lists: Sequence[Sequence[Dfa]]):
+    """(lss, dfas, word) of the best tuple of lists; ties keep the earliest.
+
+    An oracle for tightness_search(), which folds intersection classes: this
+    walks the product of every tuple of the Cartesian product instead.  With
+    the lists sorted by serialization, iteration order is lexicographic on
+    the serialized tuple and "earliest" equals "lexicographically least".
+    """
+    prepared = [[(d.delta, d.accepting, d.initial, d) for d in lst] for lst in lists]
+    best = None
+    for combo in itertools.product(*prepared):
+        deltas, acceptings, initials, dfas = zip(*combo)
+        result = _intersection_lss_tables(deltas, acceptings, initials)
+        if result is not None and (best is None or result.length > best[0]):
+            best = (result.length, dfas, result.witness)
+    return best
 
 
 def crt_min_length(m: int, n: int) -> int:

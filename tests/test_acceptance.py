@@ -10,12 +10,14 @@ from math import gcd
 from random import Random
 
 from minword import (
+    BINARY,
     accepts,
     admissible_counts,
     closed_form_witness,
     cycle_witness,
     CycleCounts,
     enumerate_dfas,
+    format_word,
     intersection_lss,
     ones_mod_dfa,
     product,
@@ -30,6 +32,12 @@ from helpers import all_words, random_dfa
 
 # Frozen on the first verified run of the exhaustive (2, 2, 3) search.
 TRIPLE_2_2_3_MAX_LSS = 7
+
+# Frozen on the first runs of these sizes: maximum lss and witness word.  The
+# folded search's `search --format structured` output equals the plain tuple
+# scan's byte for byte here, and also for (2, 2, 2, 3) = 8 with word 01001011,
+# which is left out because it takes seconds rather than a fraction of one.
+FOLDED_MAX_LSS = {(2, 2, 2): (4, "1011"), (2, 2, 2, 2): (5, "01011")}
 
 
 def _report(name, ok):
@@ -109,6 +117,16 @@ def test_criterion_4_triple_search_2_2_3():
         and elapsed < 600.0
     )
     _report("4 no (2,2,3) triple reaches lss 11", ok)
+
+
+def test_criterion_4_longer_tuples():
+    found = {}
+    for sizes in FOLDED_MAX_LSS:
+        report = tightness_search(sizes)
+        recheck = intersection_lss(list(report.witness_dfas))
+        assert recheck.witness == report.witness_word
+        found[sizes] = (report.max_lss, format_word(BINARY, report.witness_word))
+    _report("4 (2,2,2) and (2,2,2,2) reach lss 4 and 5, not 7 and 15", found == FOLDED_MAX_LSS)
 
 
 def test_criterion_5_pair_searches_rediscover_bound():

@@ -1,10 +1,15 @@
 import json
+import signal
+import subprocess
+import sys
 
 import pytest
 
 from minword import BINARY, Dfa, ones_mod_dfa, ramp_cycle_dfa, save_path, unary_residue_dfa
 from minword import enumeration
 from minword.cli import main
+
+from helpers import src_env
 
 
 def run_cli(capsys, *argv):
@@ -89,7 +94,8 @@ def test_witness_writes_dot_files(capsys, tmp_path):
         assert (out_dir / name).exists()
     assert "(p_0,q_0)" in (out_dir / "product.dot").read_text()
     for name in ("ones", "ramp", "product"):
-        code, exported, _ = run_cli(capsys, "export-dot", name, "--m", "2", "--n", "3")
+        sizes = ("--m", "2") if name == "ones" else ("--m", "2", "--n", "3")
+        code, exported, _ = run_cli(capsys, "export-dot", name, *sizes)
         assert code == 0
         assert exported == (out_dir / f"{name}.dot").read_text()
 
@@ -179,14 +185,6 @@ def test_search_budget_exceeded(capsys):
     code, _, err = run_cli(capsys, "search", "--sizes", "2,2", "--budget", "5")
     assert code == 2
     assert "budget" in err
-
-
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_search_rejects_workers_below_one(capsys, workers):
-    code, out, err = run_cli(capsys, "search", "--sizes", "2,2", "--workers", workers)
-    assert code == 2
-    assert out == ""
-    assert "--workers" in err
 
 
 def test_search_raw_budget_fails_fast(capsys, monkeypatch):
@@ -351,6 +349,21 @@ def test_export_ramp_requires_n(capsys):
     assert "--n" in err
 
 
+def test_export_ones_rejects_n(capsys):
+    code, out, err = run_cli(capsys, "export-dot", "ones", "--m", "1", "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: construction 'ones' takes only --m, not --n\n"
+
+
+@pytest.mark.parametrize("option", [("--format", "csv"), ("--timestamp",)])
+def test_export_rejects_output_options(capsys, option):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["export-dot", "ones", "--m", "1", *option])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -433,3 +446,20 @@ def test_unknown_command_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def test_closed_pipe_ends_silently():
+    # 331 KB of output overfills the pipe buffer, so the CLI is still writing
+    # when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "minword.cli", "verify", "--max-n", "30", "--format", "structured"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=src_env(),
+    )
+    proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""

@@ -1,8 +1,8 @@
-from concurrent.futures import Future
-
 import pytest
 
 from minword import (
+    Alphabet,
+    BINARY,
     BudgetExceededError,
     canonical_languages,
     enumerate_dfas,
@@ -14,7 +14,8 @@ from minword import (
     validate,
 )
 from minword import enumeration
-from minword.enumeration import _merge, _scan_slice
+
+from helpers import scan_oracle
 
 
 @pytest.mark.parametrize("states, expected", [(1, 2), (2, 64), (3, 5832)])
@@ -146,53 +147,27 @@ def test_search_budget_guard_raw_dfas_before_enumeration(monkeypatch):
         tightness_search([8, 8], max_tuples=10)
 
 
-def test_search_caps_workers_at_cpu_count(monkeypatch):
-    requested = []
-
-    class InlinePool:
-        """Stands in for ProcessPoolExecutor: runs tasks inline, starts no process."""
-
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
-    report = tightness_search([2, 2], workers=1000)
-    assert requested == [3]
-    assert report == tightness_search([2, 2], workers=1)
-
-
-def test_partitioned_scans_merge_to_same_report():
-    whole = tightness_search([2, 2])
-    lists = tuple(
-        tuple(d for d in canonical_languages(s) if shortest_accepted(d) is not None)
-        for s in (2, 2)
-    )
-    outer = len(lists[0])
-    for chunks in (2, 3, 5, outer):
-        bounds = [outer * w // chunks for w in range(chunks + 1)]
-        parts = [_scan_slice(lists, bounds[w], bounds[w + 1]) for w in range(chunks)]
-        best = _merge(parts)
-        assert best.lss == whole.max_lss
-        assert best.dfas == whole.witness_dfas
-        assert best.word == whole.witness_word
-
-
-def test_worker_pool_matches_single_worker():
-    sequential = tightness_search([2, 2], workers=1)
-    parallel = tightness_search([2, 2], workers=2)
-    assert parallel == sequential
+@pytest.mark.parametrize(
+    "sizes, alphabet",
+    [
+        ((1, 3), BINARY),
+        ((2, 2), BINARY),
+        ((2, 3), BINARY),
+        ((3, 2), BINARY),
+        ((2, 1, 2), BINARY),
+        # the only size here whose fold merges prefixes into shared classes
+        ((2, 2, 2), BINARY),
+        ((2, 2), Alphabet(("a", "b", "c"))),
+    ],
+    ids=["1,3", "2,2", "2,3", "3,2", "2,1,2", "2,2,2", "ternary-2,2"],
+)
+def test_fold_equals_scan_oracle(sizes, alphabet):
+    report = tightness_search(sizes, alphabet)
+    lists = [
+        [d for d in canonical_languages(s, alphabet) if shortest_accepted(d) is not None]
+        for s in sizes
+    ]
+    assert (report.max_lss, report.witness_dfas, report.witness_word) == scan_oracle(lists)
 
 
 def test_pumping_bound_all_enumerated_2_state():

@@ -1,10 +1,13 @@
 """The package imports only the standard library and itself."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
 import minword
+
+from helpers import src_env
 
 SRC = Path(minword.__file__).parent
 
@@ -26,3 +29,12 @@ def test_sources_import_only_stdlib_and_minword():
         imported = _imported_top_level(ast.parse(path.read_text(), filename=str(path)))
         foreign = {name for name in imported if name != "minword"} - sys.stdlib_module_names
         assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+def test_cli_import_loads_no_process_machinery():
+    probe = (
+        "import sys, minword.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=src_env(), check=True)
+    assert out.stdout == "[]\n"
