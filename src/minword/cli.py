@@ -182,6 +182,8 @@ def cmd_export_dot(args) -> int:
     if args.dfa:
         if args.source is not None:
             raise ValueError("give either a construction name or --dfa, not both")
+        if args.m is not None or args.n is not None:
+            raise ValueError("give either --dfa or --m/--n, not both")
         if len(args.dfa) > 1:
             raise ValueError("export-dot renders a single DFA file")
         text = to_dot(load_path(args.dfa[0]))

@@ -27,6 +27,7 @@ from .shortest import _intersection_lss_tables
 
 MAX_PRODUCT_STATES = 64
 DEFAULT_MAX_TUPLES = 100_000_000
+MAX_FOLD_PRODUCTS = 1 << 20
 
 
 class BudgetExceededError(RuntimeError):
@@ -87,21 +88,26 @@ def tightness_search(
 
     The tuples take one language from canonical_languages(s) per size s.
     Tuples containing the empty language are skipped (their intersection is
-    empty by construction; they are counted as skipped, not examined).  The
-    report gives the maximum shortest-word length over nonempty
-    intersections and the least index tuple attaining it; the lists are
-    sorted by serialization, so that is the least serialized tuple.
+    empty by construction).  tuples_examined counts the nonempty tuples,
+    the space searched, not the product walks made; tuples_skipped counts
+    the rest.  The report gives the maximum shortest-word length over
+    nonempty intersections and the least index tuple attaining it; the
+    lists are sorted by serialization, so that is the least serialized
+    tuple.
 
-    A tuple's lss depends only on its intersection language, so all sizes
-    but the last are folded into intersection classes, starting from the
-    full language, and each class keeps the least index tuple reaching it.
+    A tuple's lss depends only on its intersection language, so leading
+    sizes are folded into intersection classes, starting from the full
+    language, and each class keeps the least index tuple reaching it.
     Classes are visited in key order, so the first key stored for a class
     is its least: a prefix reaching it extends some key k of a class C, C's
     least key is no larger than k, and the same extension of it reaches the
-    same intersection.  The last size is walked against every class in the
-    same order, keeping the first strictly larger lss, and the walk stops at
-    the target prod(sizes) - 1, which no lss exceeds.  The shortlex-least
-    witness word depends only on the intersection, so it is unchanged.
+    same intersection.  Folding stops before the last size, or before a
+    step that would meet over MAX_FOLD_PRODUCTS class-language pairs, so
+    the classes held stay within that bound.  The sizes left are walked as
+    tuples against every class in the same order, keeping the first
+    strictly larger lss, and the walk stops at the target prod(sizes) - 1,
+    which no lss exceeds.  The shortlex-least witness word depends only on
+    the intersection, so it is unchanged.
 
     Products over MAX_PRODUCT_STATES states are refused.  max_tuples bounds
     both the raw DFAs enumerated to build the language lists (checked before
@@ -134,25 +140,29 @@ def tightness_search(
             f"search needs {examined} tuples, over the budget of {max_tuples}"
         )
 
-    *heads, last = nonempty_lists
+    rest = list(nonempty_lists)
     full = Dfa(1, alphabet, 0, frozenset({0}), ((0,) * len(alphabet),))
     classes = {full: ()}
-    for lst in heads:
+    while len(rest) > 1 and len(classes) * len(rest[0]) <= MAX_FOLD_PRODUCTS:
         folded: dict[Dfa, tuple[int, ...]] = {}
-        for (cls, key), (i, d) in itertools.product(classes.items(), enumerate(lst)):
-            meet = minimize(product([cls, d]).dfa)
+        for (cls, key), (i, d) in itertools.product(classes.items(), enumerate(rest.pop(0))):
+            # d is canonical, and meeting the full language leaves it as it is.
+            meet = d if cls is full else minimize(product([cls, d]).dfa)
             if meet.accepting:
                 folded.setdefault(meet, key + (i,))
         classes = folded
 
     target = prod(sizes) - 1
     best_lss, best_key, best_word = -1, (), ()
-    for (cls, key), (i, d) in itertools.product(classes.items(), enumerate(last)):
+    prepared = [[(i, d.delta, d.accepting, d.initial) for i, d in enumerate(lst)] for lst in rest]
+    walks = ((cls, key, tail) for cls, key in classes.items() for tail in itertools.product(*prepared))
+    for cls, key, tail in walks:
+        indices, deltas, acceptings, initials = zip(*tail)
         result = _intersection_lss_tables(
-            (cls.delta, d.delta), (cls.accepting, d.accepting), (cls.initial, d.initial)
+            (cls.delta, *deltas), (cls.accepting, *acceptings), (cls.initial, *initials)
         )
         if result is not None and result.length > best_lss:
-            best_lss, best_key, best_word = result.length, key + (i,), result.witness
+            best_lss, best_key, best_word = result.length, key + indices, result.witness
             if best_lss == target:
                 break
 

@@ -374,6 +374,8 @@ def test_export_rejects_output_options(capsys, option):
         (("product", "--m", "2"), "construction 'product' needs --m and --n"),
         (("ones", "--m", "2", "--dfa", "a.json"), "give either a construction name or --dfa, not both"),
         (("--dfa", "a.json", "--dfa", "b.json"), "export-dot renders a single DFA file"),
+        (("--dfa", "a.json", "--m", "2"), "give either --dfa or --m/--n, not both"),
+        (("--dfa", "a.json", "--n", "3"), "give either --dfa or --m/--n, not both"),
     ],
 )
 def test_export_usage_errors_exact(capsys, argv, message):

@@ -170,6 +170,47 @@ def test_fold_equals_scan_oracle(sizes, alphabet):
     assert (report.max_lss, report.witness_dfas, report.witness_word) == scan_oracle(lists)
 
 
+def _count_products(monkeypatch):
+    calls, real = [], enumeration.product
+
+    def counting_product(dfas):
+        calls.append(len(dfas))
+        return real(dfas)
+
+    monkeypatch.setattr(enumeration, "product", counting_product)
+    return calls
+
+
+# (2,2,2) has 25 nonempty languages per size.  The first fold step takes
+# each language as its own class and makes no product; the second makes
+# 25 * 25 products, so it runs only under a cap of at least 625.
+@pytest.mark.parametrize("cap, products", [(0, 0), (624, 0), (625, 625)])
+def test_fold_cap_walks_the_rest(monkeypatch, cap, products):
+    calls = _count_products(monkeypatch)
+    monkeypatch.setattr(enumeration, "MAX_FOLD_PRODUCTS", cap)
+    report = tightness_search([2, 2, 2])
+    assert len(calls) == products
+    lists = [[d for d in canonical_languages(2) if d.accepting]] * 3
+    assert (report.max_lss, report.witness_dfas, report.witness_word) == scan_oracle(lists)
+
+
+def test_fold_stops_before_a_step_over_the_cap(monkeypatch):
+    # (3,3,1): folding the second size would make 1,053 * 1,053 products,
+    # over MAX_FOLD_PRODUCTS, so the search walks before making any.
+    class Walked(Exception):
+        pass
+
+    def refuse(*args):
+        raise Walked
+
+    calls = _count_products(monkeypatch)
+    monkeypatch.setattr(enumeration, "_intersection_lss_tables", refuse)
+    assert 1053 * 1053 > enumeration.MAX_FOLD_PRODUCTS
+    with pytest.raises(Walked):
+        tightness_search([3, 3, 1])
+    assert calls == []
+
+
 def test_pumping_bound_all_enumerated_2_state():
     for d in enumerate_dfas(2):
         result = shortest_accepted(d)
