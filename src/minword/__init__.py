@@ -16,15 +16,11 @@ from .automaton import (
     accepts,
     format_word,
     parse_word,
-    reachable_states,
     run,
     validate,
 )
 from .constructions import (
-    CycleCounts,
-    admissible_counts,
     closed_form_witness,
-    cycle_witness,
     ones_mod_dfa,
     ramp_cycle_dfa,
     unary_residue_dfa,
@@ -38,7 +34,7 @@ from .enumeration import (
     tightness_search,
 )
 from .interchange import InterchangeError, dumps, from_document, load_path, loads, save_path, to_document
-from .minimize import CanonicalDfa, equivalent, minimize, state_complexity
+from .minimize import equivalent, minimize, state_complexity
 from .product import ProductResult, product
 from .reports import WitnessReport, build_witness_report, verify_range
 from .shortest import LssResult, intersection_lss, shortest_accepted
@@ -50,8 +46,6 @@ __all__ = [
     "AlphabetMismatchError",
     "BINARY",
     "BudgetExceededError",
-    "CanonicalDfa",
-    "CycleCounts",
     "Dfa",
     "InterchangeError",
     "InvalidDfaError",
@@ -62,11 +56,9 @@ __all__ = [
     "WitnessReport",
     "Word",
     "accepts",
-    "admissible_counts",
     "build_witness_report",
     "canonical_languages",
     "closed_form_witness",
-    "cycle_witness",
     "dumps",
     "enumerate_dfas",
     "equivalent",
@@ -80,7 +72,6 @@ __all__ = [
     "parse_word",
     "product",
     "ramp_cycle_dfa",
-    "reachable_states",
     "run",
     "save_path",
     "shortest_accepted",

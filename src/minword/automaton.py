@@ -7,7 +7,6 @@ Lexicographic order on words is induced by the alphabet's symbol order.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -57,8 +56,10 @@ class Dfa:
     """A complete DFA: total transition table, one initial state, accepting set.
 
     Instances are immutable and hashable, so canonical forms can be deduped
-    with ordinary dict/set machinery.  Construction does not validate; call
-    :func:`validate` to check the structural invariants.
+    with ordinary dict/set machinery.  Construction neither validates nor
+    converts: callers pass a frozenset and a tuple of tuples, and
+    :func:`minword.interchange.from_document` does that for outside input.
+    Call :func:`validate` to check the structural invariants.
     """
 
     state_count: int
@@ -66,10 +67,6 @@ class Dfa:
     initial: int
     accepting: frozenset[int]
     delta: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
 
 
 def validate(dfa: Dfa) -> None:
@@ -115,19 +112,6 @@ def run(dfa: Dfa, word: Iterable[int], start: int | None = None) -> int:
 
 def accepts(dfa: Dfa, word: Iterable[int]) -> bool:
     return run(dfa, word) in dfa.accepting
-
-
-def reachable_states(dfa: Dfa) -> frozenset[int]:
-    """States reachable from the initial state under any word."""
-    seen = {dfa.initial}
-    queue = deque((dfa.initial,))
-    while queue:
-        state = queue.popleft()
-        for target in dfa.delta[state]:
-            if target not in seen:
-                seen.add(target)
-                queue.append(target)
-    return frozenset(seen)
 
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:

@@ -15,6 +15,7 @@ import json
 import signal
 import sys
 from datetime import datetime, timezone
+from math import prod
 from pathlib import Path
 
 from .automaton import format_word
@@ -32,6 +33,8 @@ from .reports import WitnessReport, build_witness_report, verify_range
 from .shortest import intersection_lss
 
 SCHEMA_VERSION = 1
+# Product walks hold about 250 bytes per state, so this caps a walk near 1 GB.
+MAX_WALK_STATES = 1 << 22
 
 _WITNESS_COLUMNS = [f.name for f in dataclasses.fields(WitnessReport)]
 
@@ -71,7 +74,19 @@ def _emit_csv(rows: list[dict], columns: list[str]) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _swap_sizes(m: int, n: int) -> tuple[int, int]:
+def _check_walk(states: int, what: str) -> None:
+    """Refuse a run whose product walks would visit over MAX_WALK_STATES states."""
+    if states > MAX_WALK_STATES:
+        raise BudgetExceededError(
+            f"{what} needs {states} states, over the walk limit of {MAX_WALK_STATES}"
+        )
+
+
+def _pair_sizes(m: int, n: int) -> tuple[int, int]:
+    """Check an (m, n) pair against the walk limit and order it so m <= n."""
+    if m < 1 or n < 1:
+        raise ValueError(f"sizes must be positive, got m={m}, n={n}")
+    _check_walk(m * n, f"the ({m}, {n}) pair")
     if m > n:
         print(f"note: swapped sizes to m={n}, n={m}", file=sys.stderr)
         return n, m
@@ -91,13 +106,13 @@ def _construction_dot(name: str, m: int, n: int) -> str:
 
 
 def cmd_witness(args) -> int:
-    m, n = _swap_sizes(args.m, args.n)
+    m, n = _pair_sizes(args.m, args.n)
     report = build_witness_report(m, n)
     if args.dot:
         directory = Path(args.dot)
         directory.mkdir(parents=True, exist_ok=True)
         for name in ("ones", "ramp", "product"):
-            (directory / f"{name}.dot").write_text(_construction_dot(name, m, n))
+            (directory / f"{name}.dot").write_text(_construction_dot(name, m, n), encoding="utf-8")
     row = dataclasses.asdict(report)
     if args.format == "structured":
         _emit_json("witness", row, args)
@@ -109,6 +124,11 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # The pairs 1 <= m <= n <= N walk sum(m * n) = ((sum k)^2 + sum k^2) / 2
+    # states in all; verify_range itself rejects N < 1.
+    top = max(args.max_n, 0)
+    total, squares = top * (top + 1) // 2, top * (top + 1) * (2 * top + 1) // 6
+    _check_walk((total * total + squares) // 2, f"verify --max-n {args.max_n}")
     rows = verify_range(args.max_n)
     all_passed = all(r.passed for r in rows)
     if args.format == "structured":
@@ -161,6 +181,7 @@ def cmd_search(args) -> int:
 
 def cmd_lss(args) -> int:
     dfas = [load_path(path) for path in args.dfa]
+    _check_walk(prod(d.state_count for d in dfas), "the intersection")
     result = intersection_lss(dfas)
     empty = result is None
     fields = {
@@ -194,13 +215,14 @@ def cmd_export_dot(args) -> int:
     elif args.source == "ones":
         if args.n is not None:
             raise ValueError("construction 'ones' takes only --m, not --n")
+        _check_walk(args.m, "construction 'ones'")
         text = _construction_dot("ones", args.m, args.n)
     elif args.n is None:
         raise ValueError(f"construction {args.source!r} needs --m and --n")
     else:
-        text = _construction_dot(args.source, *_swap_sizes(args.m, args.n))
+        text = _construction_dot(args.source, *_pair_sizes(args.m, args.n))
     if args.dot:
-        Path(args.dot).write_text(text)
+        Path(args.dot).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0

@@ -11,8 +11,6 @@ length counters whenever gcd(m, n) = 1 (unary_residue_dfa).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .automaton import BINARY, Dfa, UNARY, Word
 
 
@@ -72,73 +70,3 @@ def closed_form_witness(m: int, n: int) -> Word:
     ones = (1,) * (m - 1)
     block = ones + (0,) * (n - m + 1)
     return block * (m - 1) + ones + (0,) * (n - m)
-
-
-@dataclass(frozen=True)
-class CycleCounts:
-    """Counts of the two ways ramp_cycle_dfa can pass through its start state.
-
-    An accepted word decomposes into j full climbs knocked back by a 1
-    (m ones each, no zeros) and i climbs that ride the zero cycle all the
-    way around (m-1 ones, n-m+1 zeros each), the last of which stops at the
-    accepting state one zero early.  Hence i >= 1 and the final zero is
-    missing exactly once.
-    """
-
-    i: int
-    j: int
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.i < 1:
-            raise ValueError(f"i must be >= 1, got {self.i}")
-        if self.j < 0:
-            raise ValueError(f"j must be >= 0, got {self.j}")
-        if not 1 <= self.m <= self.n:
-            raise ValueError(f"requires 1 <= m <= n, got m={self.m}, n={self.n}")
-
-    @property
-    def ones(self) -> int:
-        return self.i * (self.m - 1) + self.j * self.m
-
-    @property
-    def min_zeros(self) -> int:
-        return self.i * (self.n - self.m + 1) - 1
-
-
-def cycle_witness(counts: CycleCounts) -> Word:
-    """Accepted word of ramp_cycle_dfa(m, n) realizing the given cycle counts.
-
-    Built as (1^m)^j (1^(m-1) 0^(n-m+1))^(i-1) 1^(m-1) 0^(n-m): the j
-    one-only cycles first, then the i-1 complete zero-riding cycles, then the
-    final climb that parks on the accepting state.  Its 1-count is
-    i(m-1) + jm and its 0-count is exactly i(n-m+1) - 1, the minimum any
-    word with these cycle counts can have.
-    """
-    i, j, m, n = counts.i, counts.j, counts.m, counts.n
-    climb = (1,) * (m - 1)
-    full_cycle = climb + (0,) * (n - m + 1)
-    return (1,) * m * j + full_cycle * (i - 1) + climb + (0,) * (n - m)
-
-
-def admissible_counts(ones: int, zeros: int, m: int, n: int) -> bool:
-    """Whether a (1-count, 0-count) pair is consistent with ramp_cycle_dfa(m, n).
-
-    True iff some i >= 1, j >= 0 satisfy ones = i(m-1) + jm and
-    zeros >= i(n-m+1) - 1.  Every word the automaton accepts has admissible
-    counts; the converse need not hold for arbitrary symbol orderings.
-    """
-    if not 1 <= m <= n:
-        raise ValueError(f"requires 1 <= m <= n, got m={m}, n={n}")
-    if ones < 0 or zeros < 0:
-        return False
-    if m == 1:
-        # ones = j is free; i = 1 gives the weakest zero requirement.
-        return zeros >= n - 1
-    i = 1
-    while i * (m - 1) <= ones:
-        if (ones - i * (m - 1)) % m == 0 and zeros >= i * (n - m + 1) - 1:
-            return True
-        i += 1
-    return False

@@ -2,7 +2,8 @@
 
 A DFA document is a single JSON object with exactly the keys `states`,
 `alphabet`, `initial`, `accepting`, and `delta`.  Unknown keys are rejected
-so that typos fail loudly instead of being ignored.
+so that typos fail loudly instead of being ignored.  Files are UTF-8, as
+RFC 8259 requires of JSON, whatever the locale.
 """
 
 from __future__ import annotations
@@ -89,10 +90,10 @@ def loads(text: str) -> Dfa:
 
 def load_path(path: str | Path) -> Dfa:
     """Read and validate a DFA document."""
-    dfa = loads(Path(path).read_text())
+    dfa = loads(Path(path).read_text(encoding="utf-8"))
     validate(dfa)
     return dfa
 
 
 def save_path(dfa: Dfa, path: str | Path) -> None:
-    Path(path).write_text(dumps(dfa, indent=2) + "\n")
+    Path(path).write_text(dumps(dfa, indent=2) + "\n", encoding="utf-8")

@@ -14,12 +14,8 @@ from __future__ import annotations
 
 from .automaton import AlphabetMismatchError, Dfa
 
-# A CanonicalDfa is an ordinary Dfa in minimize() output form; equality of
-# canonical forms coincides with language equality over a shared alphabet.
-CanonicalDfa = Dfa
 
-
-def minimize(dfa: Dfa) -> CanonicalDfa:
+def minimize(dfa: Dfa) -> Dfa:
     """Minimal complete DFA for the same language, canonically numbered.
 
     One pass numbers the reachable states in breadth-first first-visit order,
@@ -72,7 +68,7 @@ def minimize(dfa: Dfa) -> CanonicalDfa:
         dfa.alphabet,
         0,
         frozenset(b for b, i in enumerate(firsts) if order[i] in accepting),
-        [[block[t] for t in rows[i]] for i in firsts],
+        tuple([tuple([block[t] for t in rows[i]]) for i in firsts]),
     )
 
 

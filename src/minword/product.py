@@ -95,5 +95,5 @@ def product(components: Sequence[Dfa]) -> ProductResult:
         [d.accepting for d in components],
         tuple(d.initial for d in components),
     )
-    dfa = Dfa(len(found.tags), alphabet, 0, frozenset(found.accepting), found.rows)
+    dfa = Dfa(len(found.tags), alphabet, 0, frozenset(found.accepting), tuple(found.rows))
     return ProductResult(dfa=dfa, tags=tuple(found.tags))

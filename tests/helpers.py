@@ -1,10 +1,12 @@
-"""Shared test utilities: word enumeration, random DFAs, brute-force oracles."""
+"""Shared test utilities: word enumeration, random DFAs, brute-force oracles,
+and the cycle-count helpers behind the ramp_cycle_dfa proof (criterion 7)."""
 
 from __future__ import annotations
 
 import itertools
 import os
 from collections import deque
+from dataclasses import dataclass
 from math import gcd, prod
 from random import Random
 from typing import Sequence
@@ -12,7 +14,7 @@ from typing import Sequence
 from hypothesis import strategies as st
 
 import minword
-from minword import BINARY, Alphabet, Dfa, accepts, reachable_states, run
+from minword import BINARY, Alphabet, Dfa, Word, accepts, run
 from minword.shortest import _intersection_lss_tables
 
 
@@ -65,6 +67,19 @@ def brute_force_shortest(components: Sequence[Dfa], max_len: int | None = None):
                 ends.setdefault(tuple(run(d, longer) for d in components), longer)
         survivors = list(ends.values())
     return None
+
+
+def reachable_states(dfa: Dfa) -> frozenset[int]:
+    """States reachable from the initial state under any word."""
+    seen = {dfa.initial}
+    queue = deque((dfa.initial,))
+    while queue:
+        state = queue.popleft()
+        for target in dfa.delta[state]:
+            if target not in seen:
+                seen.add(target)
+                queue.append(target)
+    return frozenset(seen)
 
 
 def minimize_two_pass(dfa: Dfa) -> Dfa:
@@ -158,6 +173,76 @@ def crt_min_length(m: int, n: int) -> int:
         if length % m == m - 1 and length % n == n - 1:
             return length
     return lcm - 1
+
+
+@dataclass(frozen=True)
+class CycleCounts:
+    """Counts of the two ways ramp_cycle_dfa can pass through its start state.
+
+    An accepted word decomposes into j full climbs knocked back by a 1
+    (m ones each, no zeros) and i climbs that ride the zero cycle all the
+    way around (m-1 ones, n-m+1 zeros each), the last of which stops at the
+    accepting state one zero early.  Hence i >= 1 and the final zero is
+    missing exactly once.
+    """
+
+    i: int
+    j: int
+    m: int
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.i < 1:
+            raise ValueError(f"i must be >= 1, got {self.i}")
+        if self.j < 0:
+            raise ValueError(f"j must be >= 0, got {self.j}")
+        if not 1 <= self.m <= self.n:
+            raise ValueError(f"requires 1 <= m <= n, got m={self.m}, n={self.n}")
+
+    @property
+    def ones(self) -> int:
+        return self.i * (self.m - 1) + self.j * self.m
+
+    @property
+    def min_zeros(self) -> int:
+        return self.i * (self.n - self.m + 1) - 1
+
+
+def cycle_witness(counts: CycleCounts) -> Word:
+    """Accepted word of ramp_cycle_dfa(m, n) realizing the given cycle counts.
+
+    Built as (1^m)^j (1^(m-1) 0^(n-m+1))^(i-1) 1^(m-1) 0^(n-m): the j
+    one-only cycles first, then the i-1 complete zero-riding cycles, then the
+    final climb that parks on the accepting state.  Its 1-count is
+    i(m-1) + jm and its 0-count is exactly i(n-m+1) - 1, the minimum any
+    word with these cycle counts can have.
+    """
+    i, j, m, n = counts.i, counts.j, counts.m, counts.n
+    climb = (1,) * (m - 1)
+    full_cycle = climb + (0,) * (n - m + 1)
+    return (1,) * m * j + full_cycle * (i - 1) + climb + (0,) * (n - m)
+
+
+def admissible_counts(ones: int, zeros: int, m: int, n: int) -> bool:
+    """Whether a (1-count, 0-count) pair is consistent with ramp_cycle_dfa(m, n).
+
+    True iff some i >= 1, j >= 0 satisfy ones = i(m-1) + jm and
+    zeros >= i(n-m+1) - 1.  Every word the automaton accepts has admissible
+    counts; the converse need not hold for arbitrary symbol orderings.
+    """
+    if not 1 <= m <= n:
+        raise ValueError(f"requires 1 <= m <= n, got m={m}, n={n}")
+    if ones < 0 or zeros < 0:
+        return False
+    if m == 1:
+        # ones = j is free; i = 1 gives the weakest zero requirement.
+        return zeros >= n - 1
+    i = 1
+    while i * (m - 1) <= ones:
+        if (ones - i * (m - 1)) % m == 0 and zeros >= i * (n - m + 1) - 1:
+            return True
+        i += 1
+    return False
 
 
 @st.composite

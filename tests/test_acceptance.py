@@ -12,10 +12,7 @@ from random import Random
 from minword import (
     BINARY,
     accepts,
-    admissible_counts,
     closed_form_witness,
-    cycle_witness,
-    CycleCounts,
     enumerate_dfas,
     format_word,
     intersection_lss,
@@ -28,7 +25,7 @@ from minword import (
     unary_residue_dfa,
 )
 
-from helpers import all_words, random_dfa
+from helpers import CycleCounts, admissible_counts, all_words, cycle_witness, random_dfa
 
 # Frozen on the first verified run of the exhaustive (2, 2, 3) search.
 TRIPLE_2_2_3_MAX_LSS = 7

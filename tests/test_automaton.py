@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,16 +10,21 @@ from minword import (
     Dfa,
     InvalidDfaError,
     accepts,
+    canonical_languages,
+    enumerate_dfas,
     format_word,
+    loads,
+    minimize,
     ones_mod_dfa,
     parse_word,
+    product,
     ramp_cycle_dfa,
-    reachable_states,
     run,
+    unary_residue_dfa,
     validate,
 )
 
-from helpers import all_words, binary_words, dfas
+from helpers import all_words, binary_words, dfas, random_dfa, reachable_states
 
 
 def test_alphabet_rejects_empty_and_duplicates():
@@ -167,11 +174,33 @@ def test_parse_word_ambiguous():
         parse_word(Alphabet(("a", "b", "ab")), "ab")
 
 
-def test_dfa_is_hashable_and_coerces_fields():
-    d = Dfa(2, BINARY, 0, {1}, [[0, 1], [1, 0]])
-    assert isinstance(d.accepting, frozenset)
-    assert isinstance(d.delta, tuple)
+def test_dfa_is_hashable():
+    d = Dfa(2, BINARY, 0, frozenset({1}), ((0, 1), (1, 0)))
     assert hash(d) == hash(Dfa(2, BINARY, 0, frozenset({1}), ((0, 1), (1, 0))))
+
+
+# Dfa converts nothing, so every builder must hand it a frozenset and tuples.
+BUILDERS = {
+    "ones_mod_dfa": lambda: [ones_mod_dfa(3)],
+    "ramp_cycle_dfa": lambda: [ramp_cycle_dfa(2, 4)],
+    "unary_residue_dfa": lambda: [unary_residue_dfa(1, 3)],
+    "enumerate_dfas": lambda: list(enumerate_dfas(2)),
+    "minimize": lambda: [minimize(random_dfa(Random(seed), 6)) for seed in range(20)],
+    "product": lambda: [product([ones_mod_dfa(2), ramp_cycle_dfa(2, 3)]).dfa],
+    "canonical_languages": lambda: list(canonical_languages(2)),
+    "loads": lambda: [
+        loads('{"states":2,"alphabet":["a","b"],"initial":0,"accepting":[1],"delta":[[0,1],[1,0]]}')
+    ],
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+def test_builders_emit_frozen_fields(build):
+    for d in build():
+        assert type(d.accepting) is frozenset
+        assert type(d.delta) is tuple
+        assert all(type(row) is tuple for row in d.delta)
+        hash(d)
 
 
 @given(st.data())

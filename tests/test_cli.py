@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from minword import BINARY, Dfa, ones_mod_dfa, ramp_cycle_dfa, save_path, unary_residue_dfa
-from minword import enumeration
+from minword import cli, enumeration
 from minword.cli import main
 
 from helpers import src_env
@@ -86,6 +86,24 @@ def test_witness_rejects_zero_size(capsys):
     assert "error" in err
 
 
+def test_witness_rejects_zero_size_before_swapping(capsys):
+    code, out, err = run_cli(capsys, "witness", "--m", "3", "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: sizes must be positive, got m=3, n=0\n"
+
+
+def test_witness_over_walk_limit_fails_fast(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_witness_report called despite the walk limit")
+
+    monkeypatch.setattr(cli, "build_witness_report", refuse)
+    code, out, err = run_cli(capsys, "witness", "--m", "2049", "--n", "2048")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the (2049, 2048) pair needs 4196352 states, over the walk limit of 4194304\n"
+
+
 def test_witness_writes_dot_files(capsys, tmp_path):
     out_dir = tmp_path / "dots"
     code, _, _ = run_cli(capsys, "witness", "--m", "2", "--n", "3", "--dot", str(out_dir))
@@ -139,6 +157,26 @@ def test_verify_full_range(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 1 + 465
     assert all(line.endswith("true") for line in lines[1:])
+
+
+def test_verify_walk_limit_admits_75(capsys, monkeypatch):
+    assert sum(m * n for m in range(1, 76) for n in range(m, 76)) == 4_132_975
+    monkeypatch.setattr(cli, "verify_range", lambda max_n: [])
+    code, _, err = run_cli(capsys, "verify", "--max-n", "75")
+    assert code == 0
+    assert err == ""
+
+
+def test_verify_over_walk_limit_fails_fast(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_range called despite the walk limit")
+
+    assert sum(m * n for m in range(1, 77) for n in range(m, 77)) == 4_355_351
+    monkeypatch.setattr(cli, "verify_range", refuse)
+    code, out, err = run_cli(capsys, "verify", "--max-n", "76")
+    assert code == 2
+    assert out == ""
+    assert err == "error: verify --max-n 76 needs 4355351 states, over the walk limit of 4194304\n"
 
 
 # --- search -----------------------------------------------------------------
@@ -233,6 +271,34 @@ def test_lss_structured(capsys, pair_files):
     assert doc["empty"] is False
     assert doc["length"] == 5
     assert doc["witness"] == "10010"
+
+
+@pytest.mark.parametrize("limit, expected_code", [(5, 2), (6, 0)])
+def test_lss_walk_limit_counts_the_product(capsys, monkeypatch, pair_files, limit, expected_code):
+    a, b = pair_files  # 2 and 3 states
+    monkeypatch.setattr(cli, "MAX_WALK_STATES", limit)
+    code, _, err = run_cli(capsys, "lss", "--dfa", str(a), "--dfa", str(b))
+    assert code == expected_code
+    if expected_code:
+        assert err == "error: the intersection needs 6 states, over the walk limit of 5\n"
+
+
+def test_lss_reads_utf8_under_ascii_locale(tmp_path):
+    path = tmp_path / "e.json"
+    path.write_text(
+        '{"states": 2, "alphabet": ["\u00e9", "b"], "initial": 0, "accepting": [1], "delta": [[1, 0], [1, 1]]}',
+        encoding="utf-8",
+    )
+    assert "\u00e9".encode("utf-8") in path.read_bytes()
+    env = {**src_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "minword.cli", "lss", "--dfa", str(path), "--format", "structured"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["witness"] == "\u00e9"
 
 
 def test_lss_empty_intersection_exit_code(capsys, tmp_path):

@@ -4,11 +4,8 @@ import pytest
 
 from minword import (
     BINARY,
-    CycleCounts,
     accepts,
-    admissible_counts,
     closed_form_witness,
-    cycle_witness,
     format_word,
     ones_mod_dfa,
     parse_word,
@@ -17,7 +14,7 @@ from minword import (
     validate,
 )
 
-from helpers import all_words
+from helpers import CycleCounts, admissible_counts, all_words, cycle_witness
 
 
 def ones_count(word):

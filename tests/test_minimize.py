@@ -15,14 +15,13 @@ from minword import (
     parse_word,
     product,
     ramp_cycle_dfa,
-    reachable_states,
     shortest_accepted,
     state_complexity,
     unary_residue_dfa,
 )
 from minword.product import walk
 
-from helpers import all_words, dfas, minimize_two_pass
+from helpers import all_words, dfas, minimize_two_pass, reachable_states
 
 
 def test_minimize_single_state():

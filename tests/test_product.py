@@ -11,11 +11,10 @@ from minword import (
     parse_word,
     product,
     ramp_cycle_dfa,
-    reachable_states,
     unary_residue_dfa,
 )
 
-from helpers import all_words, dfas
+from helpers import all_words, dfas, reachable_states
 
 
 def test_single_component_is_identity():

@@ -1,4 +1,4 @@
-"""The package imports only the standard library and itself."""
+"""The package imports only the standard library and itself, and opens files as UTF-8."""
 
 import ast
 import subprocess
@@ -29,6 +29,21 @@ def test_sources_import_only_stdlib_and_minword():
         imported = _imported_top_level(ast.parse(path.read_text(), filename=str(path)))
         foreign = {name for name in imported if name != "minword"} - sys.stdlib_module_names
         assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+def test_sources_open_files_only_as_utf8():
+    unencoded = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("read_text", "write_text", "open") and not any(
+                kw.arg == "encoding" for kw in node.keywords
+            ):
+                unencoded.append(f"{path.name}:{node.lineno} {name}")
+    assert not unencoded, f"file access without encoding=: {unencoded}"
 
 
 def test_cli_import_loads_no_process_machinery():
