@@ -34,6 +34,10 @@ class Alphabet:
         for label in self.symbols:
             if not isinstance(label, str) or not label:
                 raise ValueError(f"alphabet label {label!r} must be a nonempty string")
+            try:
+                label.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"alphabet label {label!r} is not encodable as UTF-8") from None
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet labels must be distinct")
 

@@ -21,12 +21,7 @@ from pathlib import Path
 from .automaton import format_word
 from .constructions import ones_mod_dfa, ramp_cycle_dfa
 from .dot import to_dot
-from .enumeration import (
-    BudgetExceededError,
-    DEFAULT_MAX_TUPLES,
-    SearchReport,
-    tightness_search,
-)
+from .enumeration import BudgetExceededError, SearchReport, tightness_search
 from .interchange import load_path, to_document
 from .product import product
 from .reports import WitnessReport, build_witness_report, verify_range
@@ -170,7 +165,7 @@ def _search_fields(report: SearchReport) -> dict:
 
 
 def cmd_search(args) -> int:
-    report = tightness_search(args.sizes, max_tuples=args.budget)
+    report = tightness_search(args.sizes)
     fields = _search_fields(report)
     if args.format == "structured":
         _emit_json("search", fields, args)
@@ -272,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive tuple search for the maximum intersection lss")
     p.add_argument("--sizes", type=_parse_sizes, required=True, metavar="A,B,...")
-    p.add_argument("--budget", type=int, default=DEFAULT_MAX_TUPLES, help="maximum raw DFAs to enumerate and tuples to examine")
     add_common(p)
     p.set_defaults(func=cmd_search)
 
@@ -309,6 +303,8 @@ def entry() -> None:
     # Die silently of SIGPIPE when the reader closes the pipe, as Unix filters do.
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    # Labels are UTF-8 in DFA and DOT files, so they are on stdout too, whatever the locale.
+    sys.stdout.reconfigure(encoding="utf-8")
     sys.exit(main())
 
 

@@ -26,7 +26,7 @@ from .product import product
 from .shortest import _intersection_lss_tables
 
 MAX_PRODUCT_STATES = 64
-DEFAULT_MAX_TUPLES = 100_000_000
+SEARCH_BUDGET = 100_000_000
 MAX_FOLD_PRODUCTS = 1 << 20
 
 
@@ -79,11 +79,7 @@ class SearchReport:
     languages_per_size: tuple[int, ...]
 
 
-def tightness_search(
-    sizes: Sequence[int],
-    alphabet: Alphabet = BINARY,
-    max_tuples: int = DEFAULT_MAX_TUPLES,
-) -> SearchReport:
+def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> SearchReport:
     """Exhaustively search size-bounded language tuples for the maximum lss.
 
     The tuples take one language from canonical_languages(s) per size s.
@@ -109,9 +105,11 @@ def tightness_search(
     which no lss exceeds.  The shortlex-least witness word depends only on
     the intersection, so it is unchanged.
 
-    Products over MAX_PRODUCT_STATES states are refused.  max_tuples bounds
-    both the raw DFAs enumerated to build the language lists (checked before
-    any enumeration) and the language tuples (checked before the fold).
+    Products over MAX_PRODUCT_STATES states are refused.  SEARCH_BUDGET
+    bounds both the raw DFAs enumerated to build the language lists (checked
+    before any enumeration) and the walks left after the fold, one per class
+    and tuple of the sizes left (checked before the first walk).  Each class
+    keeps a distinct least key, so there are never more walks than tuples.
     """
     sizes = tuple(sizes)
     if not sizes:
@@ -123,9 +121,9 @@ def tightness_search(
             f"product automaton may need {prod(sizes)} states, over the limit of {MAX_PRODUCT_STATES}"
         )
     raw = sum(s ** (s * len(alphabet)) * 2**s for s in set(sizes))
-    if raw > max_tuples:
+    if raw > SEARCH_BUDGET:
         raise BudgetExceededError(
-            f"search needs {raw} raw DFAs enumerated, over the budget of {max_tuples}"
+            f"search needs {raw} raw DFAs enumerated, over the budget of {SEARCH_BUDGET}"
         )
 
     all_lists = [canonical_languages(s, alphabet) for s in sizes]
@@ -135,22 +133,24 @@ def tightness_search(
     nonempty_lists = tuple(tuple(d for d in lst if d.accepting) for lst in all_lists)
     total = prod(languages_per_size)
     examined = prod(len(lst) for lst in nonempty_lists)
-    if examined > max_tuples:
-        raise BudgetExceededError(
-            f"search needs {examined} tuples, over the budget of {max_tuples}"
-        )
 
     rest = list(nonempty_lists)
-    full = Dfa(1, alphabet, 0, frozenset({0}), ((0,) * len(alphabet),))
+    # A size-1 list holds this very DFA, the only nonempty 1-state language,
+    # and meeting it leaves the other canonical language as it is.
+    full = next(d for d in canonical_languages(1, alphabet) if d.accepting)
     classes = {full: ()}
     while len(rest) > 1 and len(classes) * len(rest[0]) <= MAX_FOLD_PRODUCTS:
         folded: dict[Dfa, tuple[int, ...]] = {}
         for (cls, key), (i, d) in itertools.product(classes.items(), enumerate(rest.pop(0))):
-            # d is canonical, and meeting the full language leaves it as it is.
-            meet = d if cls is full else minimize(product([cls, d]).dfa)
+            meet = d if cls is full else cls if d is full else minimize(product([cls, d]).dfa)
             if meet.accepting:
                 folded.setdefault(meet, key + (i,))
         classes = folded
+    walks_needed = len(classes) * prod(len(lst) for lst in rest)
+    if walks_needed > SEARCH_BUDGET:
+        raise BudgetExceededError(
+            f"search needs {walks_needed} tuples walked, over the budget of {SEARCH_BUDGET}"
+        )
 
     target = prod(sizes) - 1
     best_lss, best_key, best_word = -1, (), ()

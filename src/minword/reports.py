@@ -14,8 +14,9 @@ from .shortest import intersection_lss
 class WitnessReport:
     """One verified (m, n) instance of the mn-1 intersection bound.
 
-    passed holds iff the computed lss equals mn-1 and the closed-form word
-    is accepted by both automata with exactly that length.
+    passed holds iff the computed lss equals mn-1, the closed-form word is
+    accepted by both automata with exactly that length, and the automata
+    have state complexities m and n (sc_ones and sc_ramp).
     """
 
     m: int
@@ -39,6 +40,7 @@ def build_witness_report(m: int, n: int) -> WitnessReport:
     assert result is not None, "constructed intersection is never empty"
     formula = closed_form_witness(m, n)
     formula_ok = accepts(ones, formula) and accepts(ramp, formula)
+    sc_ones, sc_ramp = state_complexity(ones), state_complexity(ramp)
     return WitnessReport(
         m=m,
         n=n,
@@ -47,12 +49,14 @@ def build_witness_report(m: int, n: int) -> WitnessReport:
         witness=format_word(ones.alphabet, result.witness),
         formula_word=format_word(ones.alphabet, formula),
         formula_word_accepted=formula_ok,
-        sc_ones=state_complexity(ones),
-        sc_ramp=state_complexity(ramp),
+        sc_ones=sc_ones,
+        sc_ramp=sc_ramp,
         passed=(
             result.length == expected
             and formula_ok
             and len(formula) == expected
+            and sc_ones == m
+            and sc_ramp == n
         ),
     )
 

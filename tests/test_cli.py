@@ -1,3 +1,4 @@
+import argparse
 import json
 import signal
 import subprocess
@@ -5,9 +6,9 @@ import sys
 
 import pytest
 
-from minword import BINARY, Dfa, ones_mod_dfa, ramp_cycle_dfa, save_path, unary_residue_dfa
-from minword import cli, enumeration
-from minword.cli import main
+from minword import BINARY, Dfa, load_path, ones_mod_dfa, ramp_cycle_dfa, save_path, to_dot, unary_residue_dfa
+from minword import cli, enumeration, reports
+from minword.cli import build_parser, main
 
 from helpers import src_env
 
@@ -102,6 +103,14 @@ def test_witness_over_walk_limit_fails_fast(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: the (2049, 2048) pair needs 4196352 states, over the walk limit of 4194304\n"
+
+
+def test_witness_fails_unless_state_complexities_are_m_and_n(capsys, monkeypatch):
+    monkeypatch.setattr(reports, "state_complexity", lambda dfa: 1)
+    code, out, _ = run_cli(capsys, "witness", "--m", "2", "--n", "3")
+    assert code == 1
+    assert "lss: 5" in out
+    assert "passed: false" in out
 
 
 def test_witness_writes_dot_files(capsys, tmp_path):
@@ -219,8 +228,9 @@ def test_search_rejects_empty_sizes(capsys):
     assert excinfo.value.code == 2
 
 
-def test_search_budget_exceeded(capsys):
-    code, _, err = run_cli(capsys, "search", "--sizes", "2,2", "--budget", "5")
+def test_search_budget_exceeded(capsys, monkeypatch):
+    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 5)
+    code, _, err = run_cli(capsys, "search", "--sizes", "2,2")
     assert code == 2
     assert "budget" in err
 
@@ -230,7 +240,8 @@ def test_search_raw_budget_fails_fast(capsys, monkeypatch):
         raise AssertionError("enumerate_dfas called despite the budget")
 
     monkeypatch.setattr(enumeration, "enumerate_dfas", refuse)
-    code, _, err = run_cli(capsys, "search", "--sizes", "8,8", "--budget", "10")
+    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 10)
+    code, _, err = run_cli(capsys, "search", "--sizes", "8,8")
     assert code == 2
     assert "budget" in err
 
@@ -283,22 +294,55 @@ def test_lss_walk_limit_counts_the_product(capsys, monkeypatch, pair_files, limi
         assert err == "error: the intersection needs 6 states, over the walk limit of 5\n"
 
 
-def test_lss_reads_utf8_under_ascii_locale(tmp_path):
+@pytest.fixture
+def accented_file(tmp_path):
+    """A DFA over the alphabet ["\u00e9", "b"] whose shortest word is "\u00e9"."""
     path = tmp_path / "e.json"
     path.write_text(
         '{"states": 2, "alphabet": ["\u00e9", "b"], "initial": 0, "accepting": [1], "delta": [[1, 0], [1, 1]]}',
         encoding="utf-8",
     )
     assert "\u00e9".encode("utf-8") in path.read_bytes()
+    return path
+
+
+def _run_under_ascii_locale(*argv):
     env = {**src_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "minword.cli", "lss", "--dfa", str(path), "--format", "structured"],
-        capture_output=True,
-        env=env,
-        timeout=60,
-    )
+    proc = subprocess.run([sys.executable, "-m", "minword.cli", *argv], capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["witness"] == "\u00e9"
+    return proc.stdout
+
+
+def test_lss_reads_utf8_under_ascii_locale(accented_file):
+    out = _run_under_ascii_locale("lss", "--dfa", str(accented_file), "--format", "structured")
+    assert json.loads(out)["witness"] == "\u00e9"
+
+
+@pytest.mark.parametrize("command", ["lss", "export-dot"])
+def test_text_output_is_utf8_under_ascii_locale(accented_file, command):
+    out = _run_under_ascii_locale(command, "--dfa", str(accented_file))
+    if command == "lss":
+        expected = "length: 1\nwitness: \u00e9\n"
+    else:
+        expected = to_dot(load_path(accented_file))
+    assert "\u00e9" in expected
+    assert out == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("command", ["lss", "export-dot"])
+def test_lone_surrogate_label_is_rejected_on_load(capsys, tmp_path, command):
+    path = tmp_path / "s.json"
+    path.write_text(
+        '{"states": 2, "alphabet": ["\\ud800", "b"], "initial": 0, "accepting": [1], "delta": [[1, 0], [1, 1]]}',
+        encoding="utf-8",
+    )
+    dot = tmp_path / "out.dot"
+    extra = ("--dot", str(dot)) if command == "export-dot" else ()
+    code, out, err = run_cli(capsys, command, "--dfa", str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: key 'alphabet': ")
+    assert not dot.exists()
 
 
 def test_lss_empty_intersection_exit_code(capsys, tmp_path):
@@ -508,6 +552,23 @@ def test_stdout_exact(capsys, tmp_path, pair_files, argv, expected_code, expecte
 
 
 # --- global behavior ---------------------------------------------------------
+
+
+_OPTIONS = {
+    "witness": {"--m", "--n", "--dot", "--format", "--timestamp"},
+    "verify": {"--max-n", "--format", "--timestamp"},
+    "search": {"--sizes", "--format", "--timestamp"},
+    "lss": {"--dfa", "--format", "--timestamp"},
+    "export-dot": {"--m", "--n", "--dfa", "--dot"},
+}
+
+
+@pytest.mark.parametrize("command", _OPTIONS)
+def test_subcommand_options_exact(command):
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(_OPTIONS)
+    actions = subparsers.choices[command]._actions
+    assert {o for a in actions for o in a.option_strings} - {"-h", "--help"} == _OPTIONS[command]
 
 
 def test_unknown_command_usage_error():

@@ -125,15 +125,26 @@ def test_search_budget_guard_product_states():
         tightness_search([9, 8])
 
 
-def test_search_budget_guard_tuples():
+def test_search_budget_guard_tuples(monkeypatch):
+    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 10)
     with pytest.raises(BudgetExceededError, match="budget"):
-        tightness_search([2, 2], max_tuples=10)
+        tightness_search([2, 2])
 
 
-def test_search_budget_guard_tuples_after_enumeration():
-    # 64 raw 2-state DFAs fit the budget; 25 * 25 nonempty tuples do not.
+def _refuse_walks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a tuple was walked despite the budget")
+
+    monkeypatch.setattr(enumeration, "_intersection_lss_tables", refuse)
+
+
+def test_search_budget_guard_tuples_after_enumeration(monkeypatch):
+    # 64 raw 2-state DFAs fit the budget; 25 classes * 25 languages walked
+    # do not, and are refused before the first walk.
+    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 100)
+    _refuse_walks(monkeypatch)
     with pytest.raises(BudgetExceededError, match="625 tuples"):
-        tightness_search([2, 2], max_tuples=100)
+        tightness_search([2, 2])
 
 
 def test_search_budget_guard_raw_dfas_before_enumeration(monkeypatch):
@@ -143,8 +154,24 @@ def test_search_budget_guard_raw_dfas_before_enumeration(monkeypatch):
         raise AssertionError("enumerate_dfas called despite the budget")
 
     monkeypatch.setattr(enumeration, "enumerate_dfas", refuse)
+    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 10)
     with pytest.raises(BudgetExceededError, match="raw DFAs"):
-        tightness_search([8, 8], max_tuples=10)
+        tightness_search([8, 8])
+
+
+def test_budget_counts_walks_not_tuples(monkeypatch):
+    # (2,2,2) has 25**3 = 15,625 nonempty tuples, but its fold leaves 135
+    # classes to walk against the last size's 25 languages: 3,375 walks.
+    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 5000)
+    report = tightness_search([2, 2, 2])
+    assert report.tuples_examined == 15_625
+    lists = [[d for d in canonical_languages(2) if d.accepting]] * 3
+    assert (report.max_lss, report.witness_dfas, report.witness_word) == scan_oracle(lists)
+
+    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 3000)
+    _refuse_walks(monkeypatch)
+    with pytest.raises(BudgetExceededError, match="3375 tuples walked"):
+        tightness_search([2, 2, 2])
 
 
 @pytest.mark.parametrize(
@@ -191,6 +218,16 @@ def test_fold_cap_walks_the_rest(monkeypatch, cap, products):
     report = tightness_search([2, 2, 2])
     assert len(calls) == products
     lists = [[d for d in canonical_languages(2) if d.accepting]] * 3
+    assert (report.max_lss, report.witness_dfas, report.witness_word) == scan_oracle(lists)
+
+
+def test_size_one_component_makes_no_product(monkeypatch):
+    # The size-1 list holds only the full language, and meeting it leaves
+    # each class as it is: (2,2,1,2) makes the 625 products of (2,2,2).
+    calls = _count_products(monkeypatch)
+    report = tightness_search([2, 2, 1, 2])
+    assert len(calls) == 625
+    lists = [[d for d in canonical_languages(s) if d.accepting] for s in (2, 2, 1, 2)]
     assert (report.max_lss, report.witness_dfas, report.witness_word) == scan_oracle(lists)
 
 
