@@ -91,31 +91,45 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     lists are sorted by serialization, so that is the least serialized
     tuple.
 
-    A tuple's lss depends only on its intersection language, so leading
-    sizes are folded into intersection classes, starting from the full
-    language, and each class keeps the least index tuple reaching it.
-    Classes are visited in key order, so the first key stored for a class
-    is its least: a prefix reaching it extends some key k of a class C, C's
-    least key is no larger than k, and the same extension of it reaches the
-    same intersection.  Folding stops before the last size, or before a
-    step that would meet over MAX_FOLD_PRODUCTS class-language pairs, so
-    the classes held stay within that bound.  The sizes left are walked as
-    tuples against every class in the same order, keeping the first
-    strictly larger lss, and the walk stops at the target prod(sizes) - 1,
-    which no lss exceeds.  The shortlex-least witness word depends only on
-    the intersection, so it is unchanged.
+    The search is one list of columns, one per size above 1, each holding
+    (key, delta, accepting, initial, dfa) entries in key order.  A size-1
+    component has no column and index 0 in the witness key: its only
+    nonempty language is the full one, which leaves every intersection as
+    it is.  For the same reason a pair meeting a 1-state language, which in
+    a column can only be the full one, meets as its other side and makes
+    no product.
 
-    Products over MAX_PRODUCT_STATES states are refused.  SEARCH_BUDGET
-    bounds both the raw DFAs enumerated to build the language lists (checked
-    before any enumeration) and the walks left after the fold, one per class
-    and tuple of the sizes left (checked before the first walk).  Each class
-    keeps a distinct least key, so there are never more walks than tuples.
+    A tuple's lss depends only on its intersection language, so while more
+    than two columns remain and the first two meet at most
+    MAX_FOLD_PRODUCTS pairs, they are folded into one column of
+    intersection classes; the cap bounds the classes held.  A class's key
+    is the concatenated keys of a pair reaching it.  Pairs are visited in
+    key order, so the first key stored for a class is its least: a key
+    reaching it extends some key k of an entry C of the first column, C's
+    least key is no larger than k, and the same extension of it reaches the
+    same intersection.  The columns left are walked as tuples in the same
+    order, keeping the first strictly larger lss, and the walk stops at the
+    target prod(sizes) - 1, which no lss exceeds.  The shortlex-least
+    witness word depends only on the intersection, so it is unchanged.
+
+    Products over MAX_PRODUCT_STATES states are refused, and so are more
+    than MAX_PRODUCT_STATES components: a product within the limit has at
+    most 6 components above size 1, so the rest is size-1 padding.
+    SEARCH_BUDGET bounds both the raw DFAs enumerated to build the language
+    lists (checked, like the limits above, before any enumeration) and the
+    walks left after the fold, one per tuple of the columns (checked before
+    the first walk).  Each class keeps a distinct least key, so there are
+    never more walks than tuples.
     """
     sizes = tuple(sizes)
     if not sizes:
         raise ValueError("sizes must be nonempty")
     if any(s < 1 for s in sizes):
         raise ValueError(f"sizes must be positive, got {sizes}")
+    if len(sizes) > MAX_PRODUCT_STATES:
+        raise BudgetExceededError(
+            f"search has {len(sizes)} components, over the limit of {MAX_PRODUCT_STATES}"
+        )
     if prod(sizes) > MAX_PRODUCT_STATES:
         raise BudgetExceededError(
             f"product automaton may need {prod(sizes)} states, over the limit of {MAX_PRODUCT_STATES}"
@@ -134,43 +148,41 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     total = prod(languages_per_size)
     examined = prod(len(lst) for lst in nonempty_lists)
 
-    rest = list(nonempty_lists)
-    # A size-1 list holds this very DFA, the only nonempty 1-state language,
-    # and meeting it leaves the other canonical language as it is.
-    full = next(d for d in canonical_languages(1, alphabet) if d.accepting)
-    classes = {full: ()}
-    while len(rest) > 1 and len(classes) * len(rest[0]) <= MAX_FOLD_PRODUCTS:
+    columns = [
+        [((i,), d.delta, d.accepting, d.initial, d) for i, d in enumerate(lst)]
+        for s, lst in zip(sizes, nonempty_lists)
+        if s > 1
+    ]
+    while len(columns) > 2 and len(columns[0]) * len(columns[1]) <= MAX_FOLD_PRODUCTS:
         folded: dict[Dfa, tuple[int, ...]] = {}
-        for (cls, key), (i, d) in itertools.product(classes.items(), enumerate(rest.pop(0))):
-            meet = d if cls is full else cls if d is full else minimize(product([cls, d]).dfa)
+        for (key, *_, a), (tail, *_, b) in itertools.product(columns[0], columns[1]):
+            meet = b if a.state_count == 1 else a if b.state_count == 1 else minimize(product([a, b]).dfa)
             if meet.accepting:
-                folded.setdefault(meet, key + (i,))
-        classes = folded
-    walks_needed = len(classes) * prod(len(lst) for lst in rest)
+                folded.setdefault(meet, key + tail)
+        columns[:2] = [[(key, d.delta, d.accepting, d.initial, d) for d, key in folded.items()]]
+    walks_needed = prod(len(column) for column in columns)
     if walks_needed > SEARCH_BUDGET:
         raise BudgetExceededError(
             f"search needs {walks_needed} tuples walked, over the budget of {SEARCH_BUDGET}"
         )
 
     target = prod(sizes) - 1
-    best_lss, best_key, best_word = -1, (), ()
-    prepared = [[(i, d.delta, d.accepting, d.initial) for i, d in enumerate(lst)] for lst in rest]
-    walks = ((cls, key, tail) for cls, key in classes.items() for tail in itertools.product(*prepared))
-    for cls, key, tail in walks:
-        indices, deltas, acceptings, initials = zip(*tail)
-        result = _intersection_lss_tables(
-            (cls.delta, *deltas), (cls.accepting, *acceptings), (cls.initial, *initials)
-        )
+    best_lss, best_entries, best_word = -1, (), ()
+    for entries in itertools.product(*columns):
+        # With no column (every size is 1) the one walk has no component.
+        _, deltas, acceptings, initials, _ = zip(*entries) if entries else ((),) * 5
+        result = _intersection_lss_tables(deltas, acceptings, initials)
         if result is not None and result.length > best_lss:
-            best_lss, best_key, best_word = result.length, key + indices, result.witness
+            best_lss, best_entries, best_word = result.length, entries, result.witness
             if best_lss == target:
                 break
 
+    keys = itertools.chain.from_iterable(key for key, *_ in best_entries)
     return SearchReport(
         sizes=sizes,
         target=target,
         max_lss=best_lss,
-        witness_dfas=tuple(lst[i] for lst, i in zip(nonempty_lists, best_key)),
+        witness_dfas=tuple(lst[next(keys) if s > 1 else 0] for s, lst in zip(sizes, nonempty_lists)),
         witness_word=best_word,
         attained=best_lss == target,
         tuples_examined=examined,

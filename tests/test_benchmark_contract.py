@@ -1,0 +1,47 @@
+"""What the benchmark in perfbench/ reads from minword.
+
+perfbench/run.py checks its own outputs with these names and attributes; a
+rename or a changed return type would otherwise show only in a benchmark
+run.  The tracer names its spans after each function's home module, and
+counts the yields of generator functions.
+"""
+
+import inspect
+import sys
+
+import minword
+from minword import build_witness_report, cli, load_path, ones_mod_dfa, product, ramp_cycle_dfa
+from minword import save_path, shortest_accepted, tightness_search
+
+
+def test_checks_read_results(tmp_path):
+    paths = [tmp_path / "ones.json", tmp_path / "ramp.json"]
+    save_path(ones_mod_dfa(2), paths[0])
+    save_path(ramp_cycle_dfa(2, 3), paths[1])
+    dfas = [load_path(p) for p in paths]
+    big = product(dfas).dfa
+    assert big.state_count == 6
+    assert big.accepting
+    found = shortest_accepted(big)
+    assert found.length == 5
+    assert minword.intersection_lss(dfas).length == 5
+    assert all(minword.accepts(d, found.witness) for d in dfas)
+
+    report = tightness_search([2, 2])
+    assert (report.tuples_examined, report.max_lss) == (625, 3)
+    assert build_witness_report(2, 3).passed is True
+
+
+def test_tracer_finds_functions_by_module():
+    enumeration = sys.modules["minword.enumeration"]
+    assert callable(enumeration.canonical_languages.cache_clear)
+    assert inspect.isgeneratorfunction(enumeration.enumerate_dfas)
+    assert tightness_search.__module__ == "minword.enumeration"
+    assert load_path is minword.interchange.load_path
+    assert load_path.__module__ == "minword.interchange"
+
+
+def test_cli_main_returns_exit_code(capsys):
+    code = cli.main(["witness", "--m", "2", "--n", "3", "--format", "structured"])
+    assert type(code) is int and code == 0
+    assert '"passed": true' in capsys.readouterr().out

@@ -246,6 +246,19 @@ def test_search_raw_budget_fails_fast(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_search_too_many_components_fails_fast(capsys, monkeypatch):
+    # Size-1 padding costs the search nothing, but tuples_skipped for this
+    # many components has too many digits to print.
+    def refuse(*args, **kwargs):
+        raise AssertionError("languages enumerated despite the component limit")
+
+    monkeypatch.setattr(enumeration, "canonical_languages", refuse)
+    code, out, err = run_cli(capsys, "search", "--sizes", "2" + ",1" * 20_000)
+    assert code == 2
+    assert out == ""
+    assert "20001 components, over the limit of 64" in err
+
+
 # --- lss --------------------------------------------------------------------
 
 

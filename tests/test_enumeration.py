@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from minword import (
@@ -11,6 +13,7 @@ from minword import (
     shortest_accepted,
     state_complexity,
     tightness_search,
+    UNARY,
     validate,
 )
 from minword import enumeration
@@ -174,20 +177,24 @@ def test_budget_counts_walks_not_tuples(monkeypatch):
         tightness_search([2, 2, 2])
 
 
-@pytest.mark.parametrize(
-    "sizes, alphabet",
-    [
-        ((1, 3), BINARY),
-        ((2, 2), BINARY),
-        ((2, 3), BINARY),
-        ((3, 2), BINARY),
-        ((2, 1, 2), BINARY),
-        # the only size here whose fold merges prefixes into shared classes
-        ((2, 2, 2), BINARY),
-        ((2, 2), Alphabet(("a", "b", "c"))),
-    ],
-    ids=["1,3", "2,2", "2,3", "3,2", "2,1,2", "2,2,2", "ternary-2,2"],
-)
+def _size_tuples(values):
+    return [t for k in (1, 2, 3) for t in itertools.product(values, repeat=k)]
+
+
+def _oracle_cases():
+    # Size-1 components take no part in the fold or the walk, so these put
+    # size 1 at every position of up to three components, and all of them.
+    # (2,2,2) is a size whose fold merges prefixes into shared classes.
+    binary = [(1, 3), (2, 2), (2, 3), (3, 2), (2, 1, 2), (2, 2, 2)] + _size_tuples((1, 2))
+    cases = {(sizes, BINARY): ",".join(map(str, sizes)) for sizes in binary}
+    cases.update({(sizes, UNARY): "unary-" + ",".join(map(str, sizes)) for sizes in _size_tuples((1, 2, 3))})
+    ternary = Alphabet(("a", "b", "c"))
+    for sizes in ((2, 2), (1,), (2,), (1, 2), (2, 1)):
+        cases[sizes, ternary] = "ternary-" + ",".join(map(str, sizes))
+    return [pytest.param(sizes, alphabet, id=name) for (sizes, alphabet), name in cases.items()]
+
+
+@pytest.mark.parametrize("sizes, alphabet", _oracle_cases())
 def test_fold_equals_scan_oracle(sizes, alphabet):
     report = tightness_search(sizes, alphabet)
     lists = [
@@ -201,17 +208,17 @@ def _count_products(monkeypatch):
     calls, real = [], enumeration.product
 
     def counting_product(dfas):
-        calls.append(len(dfas))
+        calls.append(tuple(d.state_count for d in dfas))
         return real(dfas)
 
     monkeypatch.setattr(enumeration, "product", counting_product)
     return calls
 
 
-# (2,2,2) has 25 nonempty languages per size.  The first fold step takes
-# each language as its own class and makes no product; the second makes
-# 25 * 25 products, so it runs only under a cap of at least 625.
-@pytest.mark.parametrize("cap, products", [(0, 0), (624, 0), (625, 625)])
+# (2,2,2) has 25 nonempty languages per size.  The first fold step meets
+# 25 * 25 pairs, so it runs only under a cap of at least 625.  Of those
+# pairs, 49 meet the full language (25 + 25 - 1) and make no product.
+@pytest.mark.parametrize("cap, products", [(0, 0), (624, 0), (625, 576)])
 def test_fold_cap_walks_the_rest(monkeypatch, cap, products):
     calls = _count_products(monkeypatch)
     monkeypatch.setattr(enumeration, "MAX_FOLD_PRODUCTS", cap)
@@ -222,18 +229,64 @@ def test_fold_cap_walks_the_rest(monkeypatch, cap, products):
 
 
 def test_size_one_component_makes_no_product(monkeypatch):
-    # The size-1 list holds only the full language, and meeting it leaves
-    # each class as it is: (2,2,1,2) makes the 625 products of (2,2,2).
+    # A size-1 component has no column, so (2,2,1,2) folds like (2,2,2):
+    # 625 pairs, of which the 49 that meet the full language make no product.
     calls = _count_products(monkeypatch)
     report = tightness_search([2, 2, 1, 2])
-    assert len(calls) == 625
+    assert len(calls) == 576
     lists = [[d for d in canonical_languages(s) if d.accepting] for s in (2, 2, 1, 2)]
     assert (report.max_lss, report.witness_dfas, report.witness_word) == scan_oracle(lists)
 
 
+@pytest.mark.parametrize("sizes", [(2, 2, 2), (2, 2, 3)], ids=["2,2,2", "2,2,3"])
+def test_full_language_enters_no_product(monkeypatch, sizes):
+    # Every size-2 list holds its own copy of the 1-state full language;
+    # meeting it leaves the other side as it is, so it makes no product.
+    calls = _count_products(monkeypatch)
+    tightness_search(sizes)
+    assert calls
+    assert all(1 not in counts for counts in calls)
+
+
+def test_fold_keeps_a_class_met_only_by_the_full_language(monkeypatch):
+    # (3,2,2): the fold of the first two sizes keeps one class per distinct
+    # nonempty intersection, 12,649 of them, all walked against the last 25.
+    # Some 3-state languages are reached only by meeting the full language,
+    # which must leave them as they are.
+    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 6000)
+    _refuse_walks(monkeypatch)
+    with pytest.raises(BudgetExceededError, match=f"{12_649 * 25} tuples walked"):
+        tightness_search([3, 2, 2])
+
+
+def _full_language():
+    return next(d for d in canonical_languages(1) if d.accepting)
+
+
+def test_size_one_components_take_no_part(monkeypatch):
+    widths, real = [], enumeration._intersection_lss_tables
+
+    def counting_walk(deltas, acceptings, start):
+        widths.append(len(deltas))
+        return real(deltas, acceptings, start)
+
+    monkeypatch.setattr(enumeration, "_intersection_lss_tables", counting_walk)
+    report = tightness_search([3, 3, 1])
+    assert widths and set(widths) == {2}
+    pair = tightness_search([3, 3])
+    assert report.witness_dfas == pair.witness_dfas + (_full_language(),)
+    assert (report.target, report.max_lss, report.witness_word, report.attained, report.tuples_examined) == (
+        pair.target,
+        pair.max_lss,
+        pair.witness_word,
+        pair.attained,
+        pair.tuples_examined,
+    )
+
+
 def test_fold_stops_before_a_step_over_the_cap(monkeypatch):
-    # (3,3,1): folding the second size would make 1,053 * 1,053 products,
-    # over MAX_FOLD_PRODUCTS, so the search walks before making any.
+    # (3,3,2): folding the first two sizes would make 1,053 * 1,053
+    # products, over MAX_FOLD_PRODUCTS, so the search walks before making any.
     class Walked(Exception):
         pass
 
@@ -244,8 +297,25 @@ def test_fold_stops_before_a_step_over_the_cap(monkeypatch):
     monkeypatch.setattr(enumeration, "_intersection_lss_tables", refuse)
     assert 1053 * 1053 > enumeration.MAX_FOLD_PRODUCTS
     with pytest.raises(Walked):
-        tightness_search([3, 3, 1])
+        tightness_search([3, 3, 2])
     assert calls == []
+
+
+def test_search_refuses_over_64_components(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("languages enumerated despite the component limit")
+
+    monkeypatch.setattr(enumeration, "enumerate_dfas", refuse)
+    monkeypatch.setattr(enumeration, "canonical_languages", refuse)
+    with pytest.raises(BudgetExceededError, match="65 components, over the limit of 64"):
+        tightness_search((2,) + (1,) * 64)
+
+
+def test_search_runs_64_components():
+    report = tightness_search((2,) + (1,) * 63)
+    alone = tightness_search((2,))
+    assert report.witness_dfas == alone.witness_dfas + (_full_language(),) * 63
+    assert (report.max_lss, report.witness_word, report.attained) == (alone.max_lss, alone.witness_word, True)
 
 
 def test_pumping_bound_all_enumerated_2_state():
