@@ -9,6 +9,11 @@ intersection depends only on the component languages, and every language
 with state complexity <= s is accepted by some complete s-state DFA (pad
 with unreachable states).  So the tuple space is the set of canonical
 minimal DFAs per size, which is exact and far smaller.
+
+The longest list is the mask column: its languages are bits of Python ints,
+so one breadth-first pass over a row, a tuple of the other lists (folded
+into intersection classes where that is cheap), finds the shortest word of
+the row's intersection with every language of the column at once.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Iterator, Sequence
 from .automaton import Alphabet, BINARY, Dfa, Word
 from .interchange import dumps
 from .minimize import minimize
-from .product import product
+from .product import Walk, product, walk
 from .shortest import _intersection_lss_tables
 
 MAX_PRODUCT_STATES = 64
@@ -53,15 +58,23 @@ def enumerate_dfas(states: int, alphabet: Alphabet = BINARY) -> Iterator[Dfa]:
             yield Dfa(states, alphabet, 0, accepting, delta)
 
 
-@lru_cache(maxsize=None)
 def canonical_languages(states: int, alphabet: Alphabet = BINARY) -> tuple[Dfa, ...]:
     """All languages with state complexity <= states, as canonical minimal DFAs.
 
     Sorted by serialized canonical form so downstream iteration order is
-    reproducible.
+    reproducible.  Cached per (states, alphabet), however the alphabet is
+    passed; cache_clear empties the cache.
     """
+    return _canonical_languages(states, alphabet)
+
+
+@lru_cache(maxsize=None)
+def _canonical_languages(states: int, alphabet: Alphabet) -> tuple[Dfa, ...]:
     unique = {minimize(d) for d in enumerate_dfas(states, alphabet)}
     return tuple(sorted(unique, key=dumps))
+
+
+canonical_languages.cache_clear = _canonical_languages.cache_clear  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -79,17 +92,96 @@ class SearchReport:
     languages_per_size: tuple[int, ...]
 
 
+def _column_masks(column: Sequence[tuple], states: int, width: int) -> tuple[list, list[int], list[int]]:
+    """The entries of a column as bits of ints: bit i stands for entry i.
+
+    Returns (moves, accepts, starts): moves[l][a] lists the (l2, mask) pairs
+    whose mask holds the entries with delta(l, a) = l2, accepts[l] the
+    entries accepting l and starts[l] those starting at l.  Bits are set in
+    bytearrays and converted once, which keeps the build linear.
+    """
+    size = (len(column) + 7) // 8
+    moves = [[[bytearray(size) for _ in range(states)] for _ in range(width)] for _ in range(states)]
+    accepts = [bytearray(size) for _ in range(states)]
+    starts = [bytearray(size) for _ in range(states)]
+    for i, (_, delta, accepting, initial, _) in enumerate(column):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for l, row in enumerate(delta):
+            for a, l2 in enumerate(row):
+                moves[l][a][l2][byte] |= bit
+        for l in accepting:
+            accepts[l][byte] |= bit
+        starts[initial][byte] |= bit
+
+    def ints(arrays: list[bytearray]) -> list[int]:
+        return [int.from_bytes(bits, "little") for bits in arrays]
+
+    return (
+        [
+            [[(l2, mask) for l2, mask in enumerate(ints(targets)) if mask] for targets in by_symbol]
+            for by_symbol in moves
+        ],
+        ints(accepts),
+        ints(starts),
+    )
+
+
+def _row_pass(
+    row: Walk, moves: list, accepts: list[int], starts: list[int], everything: int
+) -> tuple[int, int]:
+    """(level, mask): the last level at which languages of the column meet the row.
+
+    A level-synchronous breadth-first walk over pairs (row state q, column
+    state l), numbered q * states + l.  Each pair of a level carries the
+    languages that reach it first at that level, and a language resolves
+    at the first level where it stands on a pair accepted by both sides: that
+    level is the length of the shortest word of its intersection with the
+    row.  Returns (-1, 0) when no language meets the row.
+    """
+    states = len(moves)
+    accepting = set(row.accepting)
+    unseen = [everything] * (len(row.tags) * states)
+    frontier = {l: mask for l, mask in enumerate(starts) if mask}
+    for pair, mask in frontier.items():
+        unseen[pair] ^= mask
+    unresolved, level, last = everything, 0, (-1, 0)
+    while frontier:
+        done = 0
+        for pair, mask in frontier.items():
+            q, l = divmod(pair, states)
+            if q in accepting:
+                done |= mask & accepts[l]
+        if done:
+            last, unresolved = (level, done), unresolved ^ done
+            if not unresolved:
+                break
+        following: dict[int, int] = {}
+        for pair, mask in frontier.items():
+            mask &= unresolved
+            if not mask:
+                continue
+            q, l = divmod(pair, states)
+            for q2, targets in zip(row.rows[q], moves[l]):
+                base = q2 * states
+                for l2, move in targets:
+                    new = mask & move & unseen[base + l2]
+                    if new:
+                        unseen[base + l2] ^= new
+                        following[base + l2] = following.get(base + l2, 0) | new
+        frontier, level = following, level + 1
+    return last
+
+
 def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> SearchReport:
     """Exhaustively search size-bounded language tuples for the maximum lss.
 
     The tuples take one language from canonical_languages(s) per size s.
     Tuples containing the empty language are skipped (their intersection is
     empty by construction).  tuples_examined counts the nonempty tuples,
-    the space searched, not the product walks made; tuples_skipped counts
-    the rest.  The report gives the maximum shortest-word length over
-    nonempty intersections and the least index tuple attaining it; the
-    lists are sorted by serialization, so that is the least serialized
-    tuple.
+    the space searched, not the work done; tuples_skipped counts the rest.
+    The report gives the maximum shortest-word length over nonempty
+    intersections and the least index tuple attaining it; the lists are
+    sorted by serialization, so that is the least serialized tuple.
 
     The search is one list of columns, one per size above 1, each holding
     (key, delta, accepting, initial, dfa) entries in key order.  A size-1
@@ -99,27 +191,34 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     a column can only be the full one, meets as its other side and makes
     no product.
 
-    A tuple's lss depends only on its intersection language, so while more
-    than two columns remain and the first two meet at most
-    MAX_FOLD_PRODUCTS pairs, they are folded into one column of
-    intersection classes; the cap bounds the classes held.  A class's key
-    is the concatenated keys of a pair reaching it.  Pairs are visited in
-    key order, so the first key stored for a class is its least: a key
-    reaching it extends some key k of an entry C of the first column, C's
-    least key is no larger than k, and the same extension of it reaches the
-    same intersection.  The columns left are walked as tuples in the same
-    order, keeping the first strictly larger lss, and the walk stops at the
-    target prod(sizes) - 1, which no lss exceeds.  The shortlex-least
-    witness word depends only on the intersection, so it is unchanged.
+    The mask column is the one with the most entries, the last such one on
+    a tie.  A tuple's lss depends only on its intersection language, so
+    while more than one other column remains and the first two meet at most
+    MAX_FOLD_PRODUCTS pairs, they are folded into one column of intersection
+    classes; the cap bounds the classes held.  A class's key is the
+    concatenated keys of a pair reaching it.  Pairs are visited in key
+    order, so the first key stored for a class is its least: a key reaching
+    it extends some key k of an entry C of the first column, C's least key
+    is no larger than k, and the same extension of it reaches the same
+    intersection.  A row is one tuple of the other columns, in key order
+    (with none left, the one row is the full language).  One _row_pass per
+    row gives the row's maximum over the whole mask column and the least
+    mask entry attaining it, whose key goes in at the mask column's place.
+    A least key attaining the maximum is a class's least key with the same
+    mask entry, so the search keeps the first strictly larger maximum and,
+    on a tie, the least full key.  Only when the mask column is last is that
+    the first row, so only then does the search stop at the target
+    prod(sizes) - 1, which no lss exceeds.  The shortlex-least witness word
+    depends only on the intersection; one stopping walk of the witness
+    tuple spells it.
 
     Products over MAX_PRODUCT_STATES states are refused, and so are more
     than MAX_PRODUCT_STATES components: a product within the limit has at
     most 6 components above size 1, so the rest is size-1 padding.
     SEARCH_BUDGET bounds both the raw DFAs enumerated to build the language
     lists (checked, like the limits above, before any enumeration) and the
-    walks left after the fold, one per tuple of the columns (checked before
-    the first walk).  Each class keeps a distinct least key, so there are
-    never more walks than tuples.
+    work left after the fold: rows times the 64-bit words of a mask
+    (checked before the first row).
     """
     sizes = tuple(sizes)
     if not sizes:
@@ -148,42 +247,58 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     total = prod(languages_per_size)
     examined = prod(len(lst) for lst in nonempty_lists)
 
+    # The full language as an entry with an empty key: it stands in for a
+    # missing column and adds nothing to a key.
+    full = ((), ((0,) * len(alphabet),), frozenset((0,)), 0, None)
     columns = [
         [((i,), d.delta, d.accepting, d.initial, d) for i, d in enumerate(lst)]
         for s, lst in zip(sizes, nonempty_lists)
         if s > 1
-    ]
-    while len(columns) > 2 and len(columns[0]) * len(columns[1]) <= MAX_FOLD_PRODUCTS:
+    ] or [[full]]
+    place = max(range(len(columns)), key=lambda c: (len(columns[c]), c))
+    masked = columns.pop(place)
+    masked_last = place == len(columns)
+    while len(columns) > 1 and len(columns[0]) * len(columns[1]) <= MAX_FOLD_PRODUCTS:
         folded: dict[Dfa, tuple[int, ...]] = {}
         for (key, *_, a), (tail, *_, b) in itertools.product(columns[0], columns[1]):
             meet = b if a.state_count == 1 else a if b.state_count == 1 else minimize(product([a, b]).dfa)
             if meet.accepting:
                 folded.setdefault(meet, key + tail)
         columns[:2] = [[(key, d.delta, d.accepting, d.initial, d) for d, key in folded.items()]]
-    walks_needed = prod(len(column) for column in columns)
-    if walks_needed > SEARCH_BUDGET:
+    columns = columns or [[full]]
+    rows, words = prod(len(column) for column in columns), -(-len(masked) // 64)
+    if rows * words > SEARCH_BUDGET:
         raise BudgetExceededError(
-            f"search needs {walks_needed} tuples walked, over the budget of {SEARCH_BUDGET}"
+            f"search needs {rows * words} row words ({rows} rows of a {words}-word mask), "
+            f"over the budget of {SEARCH_BUDGET}"
         )
 
     target = prod(sizes) - 1
-    best_lss, best_entries, best_word = -1, (), ()
-    for entries in itertools.product(*columns):
-        # With no column (every size is 1) the one walk has no component.
-        _, deltas, acceptings, initials, _ = zip(*entries) if entries else ((),) * 5
-        result = _intersection_lss_tables(deltas, acceptings, initials)
-        if result is not None and result.length > best_lss:
-            best_lss, best_entries, best_word = result.length, entries, result.witness
-            if best_lss == target:
+    states = max(len(delta) for _, delta, *_ in masked)
+    moves, accepts, starts = _column_masks(masked, states, len(alphabet))
+    everything = (1 << len(masked)) - 1
+    best_lss, best_key, best_entries = -1, (), ()
+    for row in itertools.product(*columns):
+        _, deltas, acceptings, initials, _ = zip(*row)
+        lss, resolved = _row_pass(walk(deltas, acceptings, initials), moves, accepts, starts, everything)
+        if lss < best_lss or not resolved:
+            continue
+        entry = masked[(resolved & -resolved).bit_length() - 1]
+        row_key = tuple(itertools.chain.from_iterable(key for key, *_ in row))
+        key = row_key[:place] + entry[0] + row_key[place:]
+        if lss > best_lss or key < best_key:
+            best_lss, best_key, best_entries = lss, key, row + (entry,)
+            if best_lss == target and masked_last:
                 break
 
-    keys = itertools.chain.from_iterable(key for key, *_ in best_entries)
+    _, deltas, acceptings, initials, _ = zip(*best_entries)
+    keys = iter(best_key)
     return SearchReport(
         sizes=sizes,
         target=target,
         max_lss=best_lss,
         witness_dfas=tuple(lst[next(keys) if s > 1 else 0] for s, lst in zip(sizes, nonempty_lists)),
-        witness_word=best_word,
+        witness_word=_intersection_lss_tables(deltas, acceptings, initials).witness,
         attained=best_lss == target,
         tuples_examined=examined,
         tuples_skipped=total - examined,

@@ -41,6 +41,22 @@ def test_tracer_finds_functions_by_module():
     assert load_path.__module__ == "minword.interchange"
 
 
+def test_search_calls_shortest(monkeypatch):
+    # The traced shortest.us_per_call divides by the calls into
+    # minword.shortest; the search makes one, the walk of its witness tuple.
+    enumeration = sys.modules["minword.enumeration"]
+    calls, real = [], enumeration._intersection_lss_tables
+    assert real.__module__ == "minword.shortest"
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, "_intersection_lss_tables", counting)
+    tightness_search([2, 2, 3])
+    assert len(calls) >= 1
+
+
 def test_cli_main_returns_exit_code(capsys):
     code = cli.main(["witness", "--m", "2", "--n", "3", "--format", "structured"])
     assert type(code) is int and code == 0

@@ -62,6 +62,21 @@ def test_canonical_language_members_are_canonical():
             assert bool(d.accepting) == (shortest_accepted(d) is not None)
 
 
+def test_canonical_languages_cached_once_however_the_alphabet_is_passed(monkeypatch):
+    calls, real = [], enumeration.enumerate_dfas
+
+    def counting_enumerate(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, "enumerate_dfas", counting_enumerate)
+    canonical_languages.cache_clear()
+    first = canonical_languages(2)
+    assert canonical_languages(2, BINARY) is first
+    assert canonical_languages(2, alphabet=Alphabet(("0", "1"))) is first
+    assert calls == [(2, BINARY)]
+
+
 def test_canonical_languages_sorted_deterministically():
     assert canonical_languages(2) == canonical_languages(2)
     langs = canonical_languages(2)
@@ -134,20 +149,21 @@ def test_search_budget_guard_tuples(monkeypatch):
         tightness_search([2, 2])
 
 
-def _refuse_walks(monkeypatch):
+def _refuse_rows(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a tuple was walked despite the budget")
+        raise AssertionError("a row was passed despite the budget")
 
-    monkeypatch.setattr(enumeration, "_intersection_lss_tables", refuse)
+    monkeypatch.setattr(enumeration, "walk", refuse)
 
 
 def test_search_budget_guard_tuples_after_enumeration(monkeypatch):
-    # 64 raw 2-state DFAs fit the budget; 25 classes * 25 languages walked
-    # do not, and are refused before the first walk.
-    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 100)
-    _refuse_walks(monkeypatch)
-    with pytest.raises(BudgetExceededError, match="625 tuples"):
-        tightness_search([2, 2])
+    # 5,832 raw 3-state DFAs fit the budget; (3,3)'s 1,053 rows, each
+    # against the 17-word mask of the other size's 1,053 languages, do not,
+    # and are refused before the first row.
+    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 6000)
+    _refuse_rows(monkeypatch)
+    with pytest.raises(BudgetExceededError, match=r"17901 row words \(1053 rows of a 17-word mask\)"):
+        tightness_search([3, 3])
 
 
 def test_search_budget_guard_raw_dfas_before_enumeration(monkeypatch):
@@ -162,18 +178,19 @@ def test_search_budget_guard_raw_dfas_before_enumeration(monkeypatch):
         tightness_search([8, 8])
 
 
-def test_budget_counts_walks_not_tuples(monkeypatch):
-    # (2,2,2) has 25**3 = 15,625 nonempty tuples, but its fold leaves 135
-    # classes to walk against the last size's 25 languages: 3,375 walks.
-    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 5000)
+def test_budget_counts_row_words_not_tuples(monkeypatch):
+    # (2,2,2) has 25**3 = 15,625 nonempty tuples, but the last size is the
+    # mask column and the fold of the other two leaves 135 classes: 135 rows
+    # against a one-word mask of 25 languages.
+    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 135)
     report = tightness_search([2, 2, 2])
     assert report.tuples_examined == 15_625
     lists = [[d for d in canonical_languages(2) if d.accepting]] * 3
     assert (report.max_lss, report.witness_dfas, report.witness_word) == scan_oracle(lists)
 
-    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 3000)
-    _refuse_walks(monkeypatch)
-    with pytest.raises(BudgetExceededError, match="3375 tuples walked"):
+    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 134)
+    _refuse_rows(monkeypatch)
+    with pytest.raises(BudgetExceededError, match=r"135 row words \(135 rows of a 1-word mask\)"):
         tightness_search([2, 2, 2])
 
 
@@ -249,31 +266,41 @@ def test_full_language_enters_no_product(monkeypatch, sizes):
 
 
 def test_fold_keeps_a_class_met_only_by_the_full_language(monkeypatch):
-    # (3,2,2): the fold of the first two sizes keeps one class per distinct
-    # nonempty intersection, 12,649 of them, all walked against the last 25.
-    # Some 3-state languages are reached only by meeting the full language,
-    # which must leave them as they are.
+    # (3,2,3): the last 3 is the mask column, and the fold of the other two
+    # keeps one class per distinct nonempty intersection, 12,649 of them,
+    # each a row against a 17-word mask of 1,053 languages.  Some 3-state
+    # languages are reached only by meeting the full language, which must
+    # leave them as they are.
     monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 6000)
-    _refuse_walks(monkeypatch)
-    with pytest.raises(BudgetExceededError, match=f"{12_649 * 25} tuples walked"):
-        tightness_search([3, 2, 2])
+    _refuse_rows(monkeypatch)
+    with pytest.raises(BudgetExceededError, match=rf"{12_649 * 17} row words \(12649 rows of a 17-word mask\)"):
+        tightness_search([3, 2, 3])
 
 
 def _full_language():
     return next(d for d in canonical_languages(1) if d.accepting)
 
 
-def test_size_one_components_take_no_part(monkeypatch):
-    widths, real = [], enumeration._intersection_lss_tables
+def _row_widths(monkeypatch):
+    widths, real = [], enumeration.walk
 
     def counting_walk(deltas, acceptings, start):
         widths.append(len(deltas))
         return real(deltas, acceptings, start)
 
-    monkeypatch.setattr(enumeration, "_intersection_lss_tables", counting_walk)
+    monkeypatch.setattr(enumeration, "walk", counting_walk)
+    return widths
+
+
+def test_size_one_components_take_no_part(monkeypatch):
+    # (3,3,1) passes the same rows as (3,3): one 3-state language each,
+    # against the mask of the other 3.
+    widths = _row_widths(monkeypatch)
     report = tightness_search([3, 3, 1])
-    assert widths and set(widths) == {2}
+    rows = list(widths)
+    widths.clear()
     pair = tightness_search([3, 3])
+    assert rows and rows == widths and set(rows) == {1}
     assert report.witness_dfas == pair.witness_dfas + (_full_language(),)
     assert (report.target, report.max_lss, report.witness_word, report.attained, report.tuples_examined) == (
         pair.target,
@@ -285,19 +312,20 @@ def test_size_one_components_take_no_part(monkeypatch):
 
 
 def test_fold_stops_before_a_step_over_the_cap(monkeypatch):
-    # (3,3,2): folding the first two sizes would make 1,053 * 1,053
-    # products, over MAX_FOLD_PRODUCTS, so the search walks before making any.
-    class Walked(Exception):
+    # (3,3,3): the last 3 is the mask column; folding the other two would
+    # make 1,053 * 1,053 products, over MAX_FOLD_PRODUCTS, so the search
+    # passes rows before making any.
+    class Passed(Exception):
         pass
 
     def refuse(*args):
-        raise Walked
+        raise Passed
 
     calls = _count_products(monkeypatch)
-    monkeypatch.setattr(enumeration, "_intersection_lss_tables", refuse)
+    monkeypatch.setattr(enumeration, "walk", refuse)
     assert 1053 * 1053 > enumeration.MAX_FOLD_PRODUCTS
-    with pytest.raises(Walked):
-        tightness_search([3, 3, 2])
+    with pytest.raises(Passed):
+        tightness_search([3, 3, 3])
     assert calls == []
 
 
