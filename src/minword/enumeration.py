@@ -28,7 +28,7 @@ from .automaton import Alphabet, BINARY, Dfa, Word
 from .interchange import dumps
 from .minimize import minimize
 from .product import Walk, product, walk
-from .shortest import _intersection_lss_tables
+from .shortest import intersection_lss
 
 MAX_PRODUCT_STATES = 64
 SEARCH_BUDGET = 100_000_000
@@ -92,26 +92,28 @@ class SearchReport:
     languages_per_size: tuple[int, ...]
 
 
-def _column_masks(column: Sequence[tuple], states: int, width: int) -> tuple[list, list[int], list[int]]:
+def _column_masks(column: Sequence[tuple[tuple[int, ...], Dfa]]) -> tuple[list, list[int]]:
     """The entries of a column as bits of ints: bit i stands for entry i.
 
-    Returns (moves, accepts, starts): moves[l][a] lists the (l2, mask) pairs
-    whose mask holds the entries with delta(l, a) = l2, accepts[l] the
-    entries accepting l and starts[l] those starting at l.  Bits are set in
+    Returns (moves, accepts): moves[l][a] lists the (l2, mask) pairs whose
+    mask holds the entries with delta(l, a) = l2, and accepts[l] the entries
+    accepting l.  Every entry is a minimized DFA (a canonical language, a
+    fold class or the full language), and minimize numbers states from the
+    initial one, so every entry starts at state 0.  Bits are set in
     bytearrays and converted once, which keeps the build linear.
     """
+    states = max(d.state_count for _, d in column)
+    width = len(column[0][1].alphabet)
     size = (len(column) + 7) // 8
     moves = [[[bytearray(size) for _ in range(states)] for _ in range(width)] for _ in range(states)]
     accepts = [bytearray(size) for _ in range(states)]
-    starts = [bytearray(size) for _ in range(states)]
-    for i, (_, delta, accepting, initial, _) in enumerate(column):
+    for i, (_, d) in enumerate(column):
         byte, bit = i >> 3, 1 << (i & 7)
-        for l, row in enumerate(delta):
+        for l, row in enumerate(d.delta):
             for a, l2 in enumerate(row):
                 moves[l][a][l2][byte] |= bit
-        for l in accepting:
+        for l in d.accepting:
             accepts[l][byte] |= bit
-        starts[initial][byte] |= bit
 
     def ints(arrays: list[bytearray]) -> list[int]:
         return [int.from_bytes(bits, "little") for bits in arrays]
@@ -122,13 +124,10 @@ def _column_masks(column: Sequence[tuple], states: int, width: int) -> tuple[lis
             for by_symbol in moves
         ],
         ints(accepts),
-        ints(starts),
     )
 
 
-def _row_pass(
-    row: Walk, moves: list, accepts: list[int], starts: list[int], everything: int
-) -> tuple[int, int]:
+def _row_pass(row: Walk, moves: list, accepts: list[int], everything: int) -> tuple[int, int]:
     """(level, mask): the last level at which languages of the column meet the row.
 
     A level-synchronous breadth-first walk over pairs (row state q, column
@@ -141,9 +140,7 @@ def _row_pass(
     states = len(moves)
     accepting = set(row.accepting)
     unseen = [everything] * (len(row.tags) * states)
-    frontier = {l: mask for l, mask in enumerate(starts) if mask}
-    for pair, mask in frontier.items():
-        unseen[pair] ^= mask
+    unseen[0], frontier = 0, {0: everything}
     unresolved, level, last = everything, 0, (-1, 0)
     while frontier:
         done = 0
@@ -184,12 +181,11 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     sorted by serialization, so that is the least serialized tuple.
 
     The search is one list of columns, one per size above 1, each holding
-    (key, delta, accepting, initial, dfa) entries in key order.  A size-1
-    component has no column and index 0 in the witness key: its only
-    nonempty language is the full one, which leaves every intersection as
-    it is.  For the same reason a pair meeting a 1-state language, which in
-    a column can only be the full one, meets as its other side and makes
-    no product.
+    (key, dfa) entries in key order.  A size-1 component has no column and
+    index 0 in the witness key: its only nonempty language is the full one,
+    which leaves every intersection as it is.  For the same reason a pair
+    meeting a 1-state language, which in a column can only be the full one,
+    meets as its other side and makes no product.
 
     The mask column is the one with the most entries, the last such one on
     a tie.  A tuple's lss depends only on its intersection language, so
@@ -249,9 +245,9 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
 
     # The full language as an entry with an empty key: it stands in for a
     # missing column and adds nothing to a key.
-    full = ((), ((0,) * len(alphabet),), frozenset((0,)), 0, None)
+    full = ((), Dfa(1, alphabet, 0, frozenset((0,)), ((0,) * len(alphabet),)))
     columns = [
-        [((i,), d.delta, d.accepting, d.initial, d) for i, d in enumerate(lst)]
+        [((i,), d) for i, d in enumerate(lst)]
         for s, lst in zip(sizes, nonempty_lists)
         if s > 1
     ] or [[full]]
@@ -260,11 +256,11 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     masked_last = place == len(columns)
     while len(columns) > 1 and len(columns[0]) * len(columns[1]) <= MAX_FOLD_PRODUCTS:
         folded: dict[Dfa, tuple[int, ...]] = {}
-        for (key, *_, a), (tail, *_, b) in itertools.product(columns[0], columns[1]):
+        for (key, a), (tail, b) in itertools.product(columns[0], columns[1]):
             meet = b if a.state_count == 1 else a if b.state_count == 1 else minimize(product([a, b]).dfa)
             if meet.accepting:
                 folded.setdefault(meet, key + tail)
-        columns[:2] = [[(key, d.delta, d.accepting, d.initial, d) for d, key in folded.items()]]
+        columns[:2] = [[(key, d) for d, key in folded.items()]]
     columns = columns or [[full]]
     rows, words = prod(len(column) for column in columns), -(-len(masked) // 64)
     if rows * words > SEARCH_BUDGET:
@@ -274,31 +270,30 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
         )
 
     target = prod(sizes) - 1
-    states = max(len(delta) for _, delta, *_ in masked)
-    moves, accepts, starts = _column_masks(masked, states, len(alphabet))
+    moves, accepts = _column_masks(masked)
     everything = (1 << len(masked)) - 1
-    best_lss, best_key, best_entries = -1, (), ()
+    best_lss, best_key = -1, ()
     for row in itertools.product(*columns):
-        _, deltas, acceptings, initials, _ = zip(*row)
-        lss, resolved = _row_pass(walk(deltas, acceptings, initials), moves, accepts, starts, everything)
+        keys, dfas = zip(*row)
+        found = walk([d.delta for d in dfas], [d.accepting for d in dfas], (0,) * len(dfas))
+        lss, resolved = _row_pass(found, moves, accepts, everything)
         if lss < best_lss or not resolved:
             continue
-        entry = masked[(resolved & -resolved).bit_length() - 1]
-        row_key = tuple(itertools.chain.from_iterable(key for key, *_ in row))
-        key = row_key[:place] + entry[0] + row_key[place:]
+        row_key = tuple(itertools.chain.from_iterable(keys))
+        key = row_key[:place] + masked[(resolved & -resolved).bit_length() - 1][0] + row_key[place:]
         if lss > best_lss or key < best_key:
-            best_lss, best_key, best_entries = lss, key, row + (entry,)
+            best_lss, best_key = lss, key
             if best_lss == target and masked_last:
                 break
 
-    _, deltas, acceptings, initials, _ = zip(*best_entries)
     keys = iter(best_key)
+    witness_dfas = tuple(lst[next(keys) if s > 1 else 0] for s, lst in zip(sizes, nonempty_lists))
     return SearchReport(
         sizes=sizes,
         target=target,
         max_lss=best_lss,
-        witness_dfas=tuple(lst[next(keys) if s > 1 else 0] for s, lst in zip(sizes, nonempty_lists)),
-        witness_word=_intersection_lss_tables(deltas, acceptings, initials).witness,
+        witness_dfas=witness_dfas,
+        witness_word=intersection_lss(witness_dfas).witness,
         attained=best_lss == target,
         tuples_examined=examined,
         tuples_skipped=total - examined,

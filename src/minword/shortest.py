@@ -37,19 +37,12 @@ def intersection_lss(components: Sequence[Dfa]) -> LssResult | None:
     shared_alphabet(components)
     if not all(d.accepting for d in components):
         return None
-    return _intersection_lss_tables(
+    found = walk(
         [d.delta for d in components],
         [d.accepting for d in components],
         tuple(d.initial for d in components),
+        stop=True,
     )
-
-
-def _intersection_lss_tables(
-    deltas: Sequence[tuple[tuple[int, ...], ...]],
-    acceptings: Sequence[frozenset[int]],
-    start: tuple[int, ...],
-) -> LssResult | None:
-    found = walk(deltas, acceptings, start, stop=True)
     if not found.accepting:
         return None
     symbols: list[int] = []

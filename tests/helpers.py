@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import minword
 from minword import BINARY, Alphabet, Dfa, Word, accepts, run
-from minword.shortest import _intersection_lss_tables
 
 
 def src_env() -> dict[str, str]:
@@ -156,11 +155,9 @@ def scan_oracle(lists: Sequence[Sequence[Dfa]]):
     the lists sorted by serialization, iteration order is lexicographic on
     the serialized tuple and "earliest" equals "lexicographically least".
     """
-    prepared = [[(d.delta, d.accepting, d.initial, d) for d in lst] for lst in lists]
     best = None
-    for combo in itertools.product(*prepared):
-        deltas, acceptings, initials, dfas = zip(*combo)
-        result = _intersection_lss_tables(deltas, acceptings, initials)
+    for dfas in itertools.product(*lists):
+        result = minword.intersection_lss(dfas)
         if result is not None and (best is None or result.length > best[0]):
             best = (result.length, dfas, result.witness)
     return best

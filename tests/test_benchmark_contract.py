@@ -6,8 +6,10 @@ run.  The tracer names its spans after each function's home module, and
 counts the yields of generator functions.
 """
 
+import importlib
 import inspect
 import sys
+from pathlib import Path
 
 import minword
 from minword import build_witness_report, cli, load_path, ones_mod_dfa, product, ramp_cycle_dfa
@@ -45,16 +47,39 @@ def test_search_calls_shortest(monkeypatch):
     # The traced shortest.us_per_call divides by the calls into
     # minword.shortest; the search makes one, the walk of its witness tuple.
     enumeration = sys.modules["minword.enumeration"]
-    calls, real = [], enumeration._intersection_lss_tables
+    calls, real = [], enumeration.intersection_lss
     assert real.__module__ == "minword.shortest"
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(enumeration, "_intersection_lss_tables", counting)
+    monkeypatch.setattr(enumeration, "intersection_lss", counting)
     tightness_search([2, 2, 3])
     assert len(calls) >= 1
+
+
+def test_traced_run_denominators_are_nonzero(monkeypatch):
+    # perfbench/run.py --trace 1 divides by the yields of enumerate_dfas and
+    # by the calls into minimize and shortest; a language build that skips
+    # any of them makes the traced run raise ZeroDivisionError.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    recorded = spans.Spans()
+    patch = spans.Patch(recorded)
+    patch.install()
+    try:
+        root = recorded.open(recorded.name_id("bench.run"))
+        minword.canonical_languages.cache_clear()
+        minword.tightness_search([2, 2])
+        minword.build_witness_report(2, 3)
+        recorded.close(root)
+    finally:
+        patch.undo()
+    summary = spans.Summary(recorded)
+    assert recorded.counters["enumeration.enumerate_dfas"] > 0
+    assert summary.layer_calls("minimize") > 0
+    assert summary.layer_calls("shortest") > 0
 
 
 def test_cli_main_returns_exit_code(capsys):

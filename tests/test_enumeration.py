@@ -53,11 +53,15 @@ def test_languages_with_two_states_frozen_count():
 
 
 def test_canonical_language_members_are_canonical():
-    for s in (1, 2, 3):
-        for d in canonical_languages(s):
+    # The search starts every column entry at state 0, so each member must.
+    cases = [(s, BINARY) for s in (1, 2, 3)] + [(s, UNARY) for s in (1, 2, 3)]
+    cases += [(s, Alphabet(("a", "b", "c"))) for s in (1, 2)]
+    for s, alphabet in cases:
+        for d in canonical_languages(s, alphabet):
             assert state_complexity(d) == d.state_count
             assert d.state_count <= s
             assert minimize(d) == d
+            assert d.initial == 0
             # every state is reachable, so the search's nonempty filter holds
             assert bool(d.accepting) == (shortest_accepted(d) is not None)
 
