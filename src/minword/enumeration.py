@@ -6,9 +6,9 @@ does it reach the product bound (prod of sizes) - 1?
 
 Searching raw automata would be wasteful: the shortest word of an
 intersection depends only on the component languages, and every language
-with state complexity <= s is accepted by some complete s-state DFA (pad
-with unreachable states).  So the tuple space is the set of canonical
-minimal DFAs per size, which is exact and far smaller.
+with state complexity <= s is accepted by some accessible complete s-state
+DFA.  So the tuple space is the set of canonical minimal DFAs per size,
+which is exact and far smaller.
 
 The longest list is the mask column: its languages are bits of Python ints,
 so one breadth-first pass over a row, a tuple of the other lists (folded
@@ -40,9 +40,16 @@ class BudgetExceededError(RuntimeError):
 
 
 def enumerate_dfas(states: int, alphabet: Alphabet = BINARY) -> Iterator[Dfa]:
-    """Yield every complete DFA with the given states, initial state 0.
+    """Yield every accessible complete DFA with the given states, one per renaming.
 
-    All states**(states*|alphabet|) transition tables are paired with all
+    All states**(states*|alphabet|) flat transition tables are scanned in
+    lexicographic order.  A table is kept when every state is reachable
+    from the initial state 0 and the states are numbered in breadth-first
+    first-visit order, symbols in alphabet order: the numbering minimize
+    gives, so each accessible DFA has exactly one renaming here.  Read in
+    order, each row must be that of a state already reached, and each
+    target a reached state or the next free number; a table read to the
+    end has reached every state.  Each kept table is paired with all
     2**states accepting subsets, in a fixed deterministic order.
     """
     if states < 1:
@@ -53,13 +60,28 @@ def enumerate_dfas(states: int, alphabet: Alphabet = BINARY) -> Iterator[Dfa]:
         for mask in range(1 << states)
     ]
     for flat in itertools.product(range(states), repeat=states * width):
-        delta = tuple(flat[q * width : (q + 1) * width] for q in range(states))
-        for accepting in subsets:
-            yield Dfa(states, alphabet, 0, accepting, delta)
+        seen = 1
+        for i, t in enumerate(flat):
+            if i // width >= seen or t > seen:
+                break  # a row of an unreached state, or a number out of order
+            seen += t == seen
+        else:  # every row was read, so every state was reached
+            delta = tuple(flat[q * width : (q + 1) * width] for q in range(states))
+            for accepting in subsets:
+                yield Dfa(states, alphabet, 0, accepting, delta)
 
 
 def canonical_languages(states: int, alphabet: Alphabet = BINARY) -> tuple[Dfa, ...]:
     """All languages with state complexity <= states, as canonical minimal DFAs.
+
+    Built by minimizing the accessible candidates of enumerate_dfas, which
+    lose no language.  An accessible DFA with k states has k*|alphabet|
+    transitions, and a tree of paths from the initial state uses k - 1 of
+    them.  Redirecting a transition outside the tree to a fresh copy of its
+    target (same row, same acceptance) adds a state, keeps every state
+    reachable and keeps the language.  Repeated from the minimal DFA of a
+    language with state complexity k < states, this reaches an accessible
+    DFA with exactly states states.
 
     Sorted by serialized canonical form so downstream iteration order is
     reproducible.  Cached per (states, alphabet), however the alphabet is
@@ -211,8 +233,10 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     Products over MAX_PRODUCT_STATES states are refused, and so are more
     than MAX_PRODUCT_STATES components: a product within the limit has at
     most 6 components above size 1, so the rest is size-1 padding.
-    SEARCH_BUDGET bounds both the raw DFAs enumerated to build the language
-    lists (checked, like the limits above, before any enumeration) and the
+    SEARCH_BUDGET bounds both the raw DFAs of the tables enumerate_dfas
+    scans to build the language lists, s**(s*|alphabet|) tables times 2**s
+    accepting sets per size s, though it yields only the accessible ones
+    (checked, like the limits above, before any enumeration), and the
     work left after the fold: rows times the 64-bit words of a mask
     (checked before the first row).
     """

@@ -9,7 +9,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import gcd, prod
 from random import Random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from hypothesis import strategies as st
 
@@ -31,6 +31,38 @@ def all_words(num_symbols: int, max_len: int):
     """Every word up to max_len, in shortlex order."""
     for length in range(max_len + 1):
         yield from words_of_length(num_symbols, length)
+
+
+def raw_dfas(states: int, alphabet: Alphabet = BINARY) -> Iterator[Dfa]:
+    """Yield every complete DFA with the given states, initial state 0.
+
+    All states**(states*|alphabet|) transition tables are paired with all
+    2**states accepting subsets, in a fixed deterministic order.  Unlike
+    enumerate_dfas, this keeps unreachable states and every renaming: the
+    raw pool the accessible fast path is checked against.
+    """
+    if states < 1:
+        raise ValueError(f"state count must be positive, got {states}")
+    width = len(alphabet)
+    subsets = [
+        frozenset(q for q in range(states) if mask >> q & 1)
+        for mask in range(1 << states)
+    ]
+    for flat in itertools.product(range(states), repeat=states * width):
+        delta = tuple(flat[q * width : (q + 1) * width] for q in range(states))
+        for accepting in subsets:
+            yield Dfa(states, alphabet, 0, accepting, delta)
+
+
+def bfs_numbering(dfa: Dfa) -> list[int]:
+    """The states reachable from the initial one, in breadth-first first-visit
+    order with symbols in alphabet order."""
+    order = [dfa.initial]
+    for state in order:
+        for target in dfa.delta[state]:
+            if target not in order:
+                order.append(target)
+    return order
 
 
 def random_dfa(rng: Random, max_states: int, alphabet: Alphabet = BINARY) -> Dfa:

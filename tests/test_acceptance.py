@@ -13,7 +13,6 @@ from minword import (
     BINARY,
     accepts,
     closed_form_witness,
-    enumerate_dfas,
     format_word,
     intersection_lss,
     ones_mod_dfa,
@@ -25,7 +24,7 @@ from minword import (
     unary_residue_dfa,
 )
 
-from helpers import CycleCounts, admissible_counts, all_words, cycle_witness, random_dfa
+from helpers import CycleCounts, admissible_counts, all_words, cycle_witness, random_dfa, raw_dfas
 
 # Frozen on the first verified run of the exhaustive (2, 2, 3) search.
 TRIPLE_2_2_3_MAX_LSS = 7
@@ -104,7 +103,7 @@ def test_criterion_4_triple_search_2_2_3():
 
     # full-fidelity cross-check on [2, 2]: raw automaton tuples vs languages
     raw_best = -1
-    pool = list(enumerate_dfas(2))
+    pool = list(raw_dfas(2))
     for a in pool:
         for b in pool:
             result = intersection_lss([a, b])
@@ -151,7 +150,7 @@ def test_criterion_5_pair_searches_rediscover_bound():
 def test_criterion_6_pumping_bounds():
     violations = []
     for states in (2, 3):
-        for d in enumerate_dfas(states):
+        for d in raw_dfas(states):
             result = shortest_accepted(d)
             if result is not None and result.length > states - 1:
                 violations.append(("enumerated", states))

@@ -77,7 +77,8 @@ def test_traced_run_denominators_are_nonzero(monkeypatch):
     finally:
         patch.undo()
     summary = spans.Summary(recorded)
-    assert recorded.counters["enumeration.enumerate_dfas"] > 0
+    # The traced enumeration.raw_dfas: the 48 accessible 2-state DFAs.
+    assert recorded.counters["enumeration.enumerate_dfas"] == 48
     assert summary.layer_calls("minimize") > 0
     assert summary.layer_calls("shortest") > 0
 

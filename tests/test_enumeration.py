@@ -7,6 +7,7 @@ from minword import (
     BINARY,
     BudgetExceededError,
     canonical_languages,
+    dumps,
     enumerate_dfas,
     intersection_lss,
     minimize,
@@ -18,12 +19,27 @@ from minword import (
 )
 from minword import enumeration
 
-from helpers import scan_oracle
+from helpers import bfs_numbering, raw_dfas, scan_oracle
+
+
+TERNARY = Alphabet(("a", "b", "c"))
 
 
 @pytest.mark.parametrize("states, expected", [(1, 2), (2, 64), (3, 5832)])
 def test_enumeration_counts(states, expected):
-    assert sum(1 for _ in enumerate_dfas(states)) == expected
+    assert sum(1 for _ in raw_dfas(states)) == expected
+
+
+@pytest.mark.parametrize(
+    "alphabet, expected",
+    [(BINARY, (2, 48, 1728, 83968)), (UNARY, (2, 8, 24, 64)), (TERNARY, (2, 224, 63720))],
+    ids=["binary", "unary", "ternary"],
+)
+def test_accessible_enumeration_counts(alphabet, expected):
+    # Binary tables: 1, 6, 108 and 5,248 (initially connected DFAs up to
+    # renaming), each with 2**states accepting sets.
+    counts = tuple(sum(1 for _ in enumerate_dfas(n, alphabet)) for n in range(1, len(expected) + 1))
+    assert counts == expected
 
 
 def test_enumerated_dfas_are_valid_with_initial_zero():
@@ -32,7 +48,29 @@ def test_enumerated_dfas_are_valid_with_initial_zero():
         validate(d)
         assert d.initial == 0
         seen.add(d)
-    assert len(seen) == 64
+    assert len(seen) == 48
+
+
+ORACLE_CASES = [
+    pytest.param(n, alphabet, id=f"{name}-{n}")
+    for name, alphabet, largest in (("unary", UNARY, 4), ("binary", BINARY, 3), ("ternary", TERNARY, 2))
+    for n in range(1, largest + 1)
+]
+
+
+@pytest.mark.parametrize("states, alphabet", ORACLE_CASES)
+def test_enumerate_dfas_is_the_bfs_numbered_raw_pool(states, alphabet):
+    numbered = [d for d in raw_dfas(states, alphabet) if bfs_numbering(d) == list(range(states))]
+    assert list(enumerate_dfas(states, alphabet)) == numbered
+
+
+@pytest.mark.parametrize("states, alphabet", ORACLE_CASES)
+def test_canonical_languages_equal_the_raw_build(states, alphabet):
+    # Accessible candidates lose no language: a DFA with fewer states grows
+    # to this many, still accessible, by redirecting a transition outside a
+    # tree of paths from the initial state to a fresh copy of its target.
+    raw = tuple(sorted({minimize(d) for d in raw_dfas(states, alphabet)}, key=dumps))
+    assert canonical_languages(states, alphabet) == raw
 
 
 def test_enumeration_rejects_zero_states():
@@ -55,7 +93,7 @@ def test_languages_with_two_states_frozen_count():
 def test_canonical_language_members_are_canonical():
     # The search starts every column entry at state 0, so each member must.
     cases = [(s, BINARY) for s in (1, 2, 3)] + [(s, UNARY) for s in (1, 2, 3)]
-    cases += [(s, Alphabet(("a", "b", "c"))) for s in (1, 2)]
+    cases += [(s, TERNARY) for s in (1, 2)]
     for s, alphabet in cases:
         for d in canonical_languages(s, alphabet):
             assert state_complexity(d) == d.state_count
@@ -89,7 +127,7 @@ def test_canonical_languages_sorted_deterministically():
 
 def test_dedup_soundness_raw_vs_canonical_2_2():
     raw_best = -1
-    pool = list(enumerate_dfas(2))
+    pool = list(raw_dfas(2))
     for a in pool:
         for b in pool:
             result = intersection_lss([a, b])
@@ -209,9 +247,8 @@ def _oracle_cases():
     binary = [(1, 3), (2, 2), (2, 3), (3, 2), (2, 1, 2), (2, 2, 2)] + _size_tuples((1, 2))
     cases = {(sizes, BINARY): ",".join(map(str, sizes)) for sizes in binary}
     cases.update({(sizes, UNARY): "unary-" + ",".join(map(str, sizes)) for sizes in _size_tuples((1, 2, 3))})
-    ternary = Alphabet(("a", "b", "c"))
     for sizes in ((2, 2), (1,), (2,), (1, 2), (2, 1)):
-        cases[sizes, ternary] = "ternary-" + ",".join(map(str, sizes))
+        cases[sizes, TERNARY] = "ternary-" + ",".join(map(str, sizes))
     return [pytest.param(sizes, alphabet, id=name) for (sizes, alphabet), name in cases.items()]
 
 
@@ -351,7 +388,7 @@ def test_search_runs_64_components():
 
 
 def test_pumping_bound_all_enumerated_2_state():
-    for d in enumerate_dfas(2):
+    for d in raw_dfas(2):
         result = shortest_accepted(d)
         if result is not None:
             assert result.length <= d.state_count - 1

@@ -8,7 +8,6 @@ from minword import (
     BINARY,
     Dfa,
     accepts,
-    enumerate_dfas,
     equivalent,
     minimize,
     ones_mod_dfa,
@@ -21,7 +20,7 @@ from minword import (
 )
 from minword.product import walk
 
-from helpers import all_words, dfas, minimize_two_pass, reachable_states
+from helpers import all_words, dfas, minimize_two_pass, raw_dfas, reachable_states
 
 
 def test_minimize_single_state():
@@ -61,7 +60,7 @@ def test_dead_state_is_kept():
 
 
 def test_equivalent_to_own_minimization_all_2_state():
-    for d in enumerate_dfas(2):
+    for d in raw_dfas(2):
         m = minimize(d)
         assert equivalent(d, m)
         # word-by-word cross-check up to twice the state count
@@ -71,7 +70,7 @@ def test_equivalent_to_own_minimization_all_2_state():
 
 @pytest.mark.parametrize("states", [1, 2, 3])
 def test_minimize_equals_two_pass_oracle_on_all_raw_dfas(states):
-    for d in enumerate_dfas(states):
+    for d in raw_dfas(states):
         assert minimize(d) == minimize_two_pass(d)
 
 
@@ -109,7 +108,7 @@ def _symmetric_difference_empty(a: Dfa, b: Dfa) -> bool:
 
 
 def test_canonical_equality_matches_symmetric_difference_all_2_state_pairs():
-    dfas_2 = list(enumerate_dfas(2))
+    dfas_2 = list(raw_dfas(2))
     canon = [minimize(d) for d in dfas_2]
     for i, a in enumerate(dfas_2):
         for j, b in enumerate(dfas_2):
