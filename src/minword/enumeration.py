@@ -5,10 +5,11 @@ state counts, how long can the shortest word of the intersection get, and
 does it reach the product bound (prod of sizes) - 1?
 
 Searching raw automata would be wasteful: the shortest word of an
-intersection depends only on the component languages, and every language
-with state complexity <= s is accepted by some accessible complete s-state
-DFA.  So the tuple space is the set of canonical minimal DFAs per size,
-which is exact and far smaller.
+intersection depends only on the component languages.  So the tuple space
+is the set of canonical minimal DFAs per size, which is exact and far
+smaller.  They are generated, not minimized: among the accessible complete
+k-state DFAs numbered breadth-first, those whose states are all apart are
+exactly the canonical minimal DFAs of the languages of state complexity k.
 
 The longest list is the mask column: its languages are bits of Python ints,
 so one breadth-first pass over a row, a tuple of the other lists (folded
@@ -25,8 +26,7 @@ from math import prod
 from typing import Iterator, Sequence
 
 from .automaton import Alphabet, BINARY, Dfa, Word
-from .interchange import dumps
-from .minimize import minimize
+from .minimize import minimize, moore_blocks
 from .product import Walk, product, walk
 from .shortest import intersection_lss
 
@@ -74,26 +74,44 @@ def enumerate_dfas(states: int, alphabet: Alphabet = BINARY) -> Iterator[Dfa]:
 def canonical_languages(states: int, alphabet: Alphabet = BINARY) -> tuple[Dfa, ...]:
     """All languages with state complexity <= states, as canonical minimal DFAs.
 
-    Built by minimizing the accessible candidates of enumerate_dfas, which
-    lose no language.  An accessible DFA with k states has k*|alphabet|
-    transitions, and a tree of paths from the initial state uses k - 1 of
-    them.  Redirecting a transition outside the tree to a fresh copy of its
-    target (same row, same acceptance) adds a state, keeps every state
-    reachable and keeps the language.  Repeated from the minimal DFA of a
-    language with state complexity k < states, this reaches an accessible
-    DFA with exactly states states.
+    For k = 1..states, keeps each candidate of enumerate_dfas(k) whose
+    states Moore refinement leaves all apart.  This loses no language and
+    yields each one once.  A language of state complexity k has a minimal
+    DFA with k states, unique up to renaming; numbered breadth-first from
+    its initial state it is one candidate of enumerate_dfas(k), the only
+    one of its renamings there, and its states are all apart.  Conversely a
+    kept candidate has every state reachable and no two states equivalent,
+    so it is the minimal DFA of its language, numbered as minimize numbers
+    it (minimize returns it unchanged), and k is that language's state
+    complexity: no other k and no other candidate gives the same language.
 
-    Sorted by serialized canonical form so downstream iteration order is
-    reproducible.  Cached per (states, alphabet), however the alphabet is
-    passed; cache_clear empties the cache.
+    Ordered by serialized canonical form (interchange.dumps), so downstream
+    iteration order is reproducible: by state count, then the JSON text of
+    the accepting list, then the flat transition table.  Up to 9 states
+    every number in that text is one digit, so the state count sorts
+    numerically, and the accepting list [q1, ..., qj] in ascending order
+    sorts like the tuple (q1, ..., qj, k): "," sorts before "]", so a list
+    comes after its extensions, and "[]" comes last.  The build emits the
+    candidates kept for each k grouped by accepting set in that order; each
+    group keeps the flat-table order enumerate_dfas yields.  Beyond 9 states
+    the order would differ, but the table scan cannot finish there anyway.
+    Cached per (states, alphabet), however the alphabet is passed;
+    cache_clear empties the cache.
     """
     return _canonical_languages(states, alphabet)
 
 
 @lru_cache(maxsize=None)
 def _canonical_languages(states: int, alphabet: Alphabet) -> tuple[Dfa, ...]:
-    unique = {minimize(d) for d in enumerate_dfas(states, alphabet)}
-    return tuple(sorted(unique, key=dumps))
+    languages: list[Dfa] = []
+    for k in range(1, states + 1):
+        groups: dict[frozenset[int], list[Dfa]] = {}
+        for d in enumerate_dfas(k, alphabet):
+            if moore_blocks(d.delta, [q in d.accepting for q in range(k)])[1] == k:
+                groups.setdefault(d.accepting, []).append(d)
+        for accepting in sorted(groups, key=lambda acc: (*sorted(acc), k)):
+            languages += groups[accepting]
+    return tuple(languages)
 
 
 canonical_languages.cache_clear = _canonical_languages.cache_clear  # type: ignore[attr-defined]
@@ -233,12 +251,12 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     Products over MAX_PRODUCT_STATES states are refused, and so are more
     than MAX_PRODUCT_STATES components: a product within the limit has at
     most 6 components above size 1, so the rest is size-1 padding.
-    SEARCH_BUDGET bounds both the raw DFAs of the tables enumerate_dfas
-    scans to build the language lists, s**(s*|alphabet|) tables times 2**s
-    accepting sets per size s, though it yields only the accessible ones
-    (checked, like the limits above, before any enumeration), and the
-    work left after the fold: rows times the 64-bit words of a mask
-    (checked before the first row).
+    SEARCH_BUDGET bounds both the raw DFAs behind the language lists,
+    s**(s*|alphabet|) tables times 2**s accepting sets per size s (checked,
+    like the limits above, before any enumeration), and the work left after
+    the fold: rows times the 64-bit words of a mask (checked before the
+    first row).  The build for size s scans the tables of every k <= s,
+    the s-state ones most of all, and keeps only accessible candidates.
     """
     sizes = tuple(sizes)
     if not sizes:

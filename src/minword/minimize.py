@@ -12,6 +12,8 @@ that state complexity counts the states of a complete DFA.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .automaton import AlphabetMismatchError, Dfa
 
 
@@ -19,13 +21,12 @@ def minimize(dfa: Dfa) -> Dfa:
     """Minimal complete DFA for the same language, canonically numbered.
 
     One pass numbers the reachable states in breadth-first first-visit order,
-    symbols in alphabet order, and builds their rows.  Moore refinement then
-    splits accepting from rejecting states and re-partitions by (own block,
-    blocks of successors) until the partition stops growing; block ids are
-    assigned by first occurrence in that order.  They are already the
-    breadth-first numbering of the quotient: the least word reaching a block
-    is the least word reaching its first-discovered member.  So each output
-    row is the first member's row mapped through the block ids.
+    symbols in alphabet order, and builds their rows.  moore_blocks then
+    partitions them, block ids assigned by first occurrence in that order.
+    They are already the breadth-first numbering of the quotient: the least
+    word reaching a block is the least word reaching its first-discovered
+    member.  So each output row is the first member's row mapped through the
+    block ids.
     """
     accepting = dfa.accepting
     index = {dfa.initial: 0}
@@ -42,23 +43,7 @@ def minimize(dfa: Dfa) -> Dfa:
             row.append(idx)
         rows.append(row)
 
-    # First-occurrence ids stay dense even when one side of the split is empty.
-    seen: dict[bool, int] = {}
-    block = [seen.setdefault(q in accepting, len(seen)) for q in order]
-    n_blocks = len(seen)
-    while True:
-        sigs: dict[tuple[int, ...], int] = {}
-        refined = [
-            sigs.setdefault((b, *[block[t] for t in row]), len(sigs))
-            for b, row in zip(block, rows)
-        ]
-        # The new partition refines the old one; with as many blocks it is the
-        # same partition, numbered the same way.
-        if len(sigs) == n_blocks:
-            break
-        block = refined
-        n_blocks = len(sigs)
-
+    block, n_blocks = moore_blocks(rows, [q in accepting for q in order])
     firsts: list[int] = []
     for i, b in enumerate(block):
         if b == len(firsts):
@@ -70,6 +55,36 @@ def minimize(dfa: Dfa) -> Dfa:
         frozenset(b for b, i in enumerate(firsts) if order[i] in accepting),
         tuple([tuple([block[t] for t in rows[i]]) for i in firsts]),
     )
+
+
+def moore_blocks(rows: Sequence[Sequence[int]], accepting: Sequence[bool]) -> tuple[list[int], int]:
+    """Moore refinement of states 0..len(rows)-1: (block of each state, block count).
+
+    rows[q] lists the successors of q in alphabet order and accepting[q]
+    says whether q accepts.  Accepting states are split from rejecting ones,
+    then states are re-partitioned by (own block, blocks of successors) until
+    the partition stops growing.  Block ids are assigned by first occurrence
+    in state order.  Two states share a block exactly when they accept the
+    same words, so every state is apart exactly when the count is len(rows).
+    """
+    # First-occurrence ids stay dense even when one side of the split is empty.
+    seen: dict[bool, int] = {}
+    block = [seen.setdefault(flag, len(seen)) for flag in accepting]
+    n_blocks = len(seen)
+    # A partition into single states cannot be refined further.
+    while n_blocks < len(rows):
+        sigs: dict[tuple[int, ...], int] = {}
+        refined = [
+            sigs.setdefault((b, *[block[t] for t in row]), len(sigs))
+            for b, row in zip(block, rows)
+        ]
+        # The new partition refines the old one; with as many blocks it is the
+        # same partition, numbered the same way.
+        if len(sigs) == n_blocks:
+            break
+        block = refined
+        n_blocks = len(sigs)
+    return block, n_blocks
 
 
 def state_complexity(dfa: Dfa) -> int:

@@ -77,8 +77,9 @@ def test_traced_run_denominators_are_nonzero(monkeypatch):
     finally:
         patch.undo()
     summary = spans.Summary(recorded)
-    # The traced enumeration.raw_dfas: the 48 accessible 2-state DFAs.
-    assert recorded.counters["enumeration.enumerate_dfas"] == 48
+    # The traced enumeration.raw_dfas: the build of the 2-state languages
+    # scans the 2 one-state and the 48 two-state accessible candidates.
+    assert recorded.counters["enumeration.enumerate_dfas"] == 50
     assert summary.layer_calls("minimize") > 0
     assert summary.layer_calls("shortest") > 0
 

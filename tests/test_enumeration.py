@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -19,7 +20,7 @@ from minword import (
 )
 from minword import enumeration
 
-from helpers import bfs_numbering, raw_dfas, scan_oracle
+from helpers import bfs_numbering, minimize_two_pass, raw_dfas, scan_oracle
 
 
 TERNARY = Alphabet(("a", "b", "c"))
@@ -66,11 +67,32 @@ def test_enumerate_dfas_is_the_bfs_numbered_raw_pool(states, alphabet):
 
 @pytest.mark.parametrize("states, alphabet", ORACLE_CASES)
 def test_canonical_languages_equal_the_raw_build(states, alphabet):
-    # Accessible candidates lose no language: a DFA with fewer states grows
-    # to this many, still accessible, by redirecting a transition outside a
-    # tree of paths from the initial state to a fresh copy of its target.
+    # The old build: minimize every raw DFA, dedupe, sort by serialization.
     raw = tuple(sorted({minimize(d) for d in raw_dfas(states, alphabet)}, key=dumps))
     assert canonical_languages(states, alphabet) == raw
+
+
+@pytest.mark.parametrize("states, alphabet", ORACLE_CASES + [pytest.param(5, UNARY, id="unary-5")])
+def test_build_keeps_the_candidates_minimize_leaves_whole(states, alphabet):
+    # The slow path as oracle: the build keeps a candidate exactly when
+    # minimizing it removes no state.  minimize_two_pass checks the same
+    # without the Moore refinement that minimize and the build share.
+    kept = {d for d in canonical_languages(states, alphabet) if d.state_count == states}
+    for d in enumerate_dfas(states, alphabet):
+        whole = minimize(d).state_count == states
+        assert (d in kept) == whole == (minimize_two_pass(d).state_count == states)
+
+
+def test_four_state_languages_in_key_order():
+    # The languages-4 workload's list: the counts of Domaratzki, Kisman and
+    # Shallit (2002) and the digest of its serialized order, as the old
+    # minimize-dedupe-sort build gave it.
+    langs = canonical_languages(4)
+    assert [sum(d.state_count == k for d in langs) for k in (1, 2, 3, 4)] == [2, 24, 1028, 56014]
+    text = "\n".join(dumps(d) for d in langs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4b851f5c96f43a8e9d744ad87d9d32c1646dbe36bdb4aaedb9d4d909a6d90a51"
+    )
 
 
 def test_enumeration_rejects_zero_states():
@@ -116,7 +138,8 @@ def test_canonical_languages_cached_once_however_the_alphabet_is_passed(monkeypa
     first = canonical_languages(2)
     assert canonical_languages(2, BINARY) is first
     assert canonical_languages(2, alphabet=Alphabet(("0", "1"))) is first
-    assert calls == [(2, BINARY)]
+    # One build per key; it scans the candidates of every size up to 2.
+    assert calls == [(1, BINARY), (2, BINARY)]
 
 
 def test_canonical_languages_sorted_deterministically():
