@@ -23,10 +23,11 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .automaton import Alphabet, BINARY, Dfa, Word
-from .minimize import minimize, moore_blocks
+from .minimize import minimize
 from .product import Walk, product, walk
 from .shortest import intersection_lss
 
@@ -42,48 +43,71 @@ class BudgetExceededError(RuntimeError):
 def enumerate_dfas(states: int, alphabet: Alphabet = BINARY) -> Iterator[Dfa]:
     """Yield every accessible complete DFA with the given states, one per renaming.
 
-    All states**(states*|alphabet|) flat transition tables are scanned in
-    lexicographic order.  A table is kept when every state is reachable
-    from the initial state 0 and the states are numbered in breadth-first
-    first-visit order, symbols in alphabet order: the numbering minimize
-    gives, so each accessible DFA has exactly one renaming here.  Read in
-    order, each row must be that of a state already reached, and each
-    target a reached state or the next free number; a table read to the
-    end has reached every state.  Each kept table is paired with all
-    2**states accepting subsets, in a fixed deterministic order.
+    A table is kept when every state is reachable from the initial state 0
+    and the states are numbered in breadth-first first-visit order, symbols
+    in alphabet order: the numbering minimize gives, so each accessible DFA
+    has exactly one renaming here.  Read in order, such a flat table has
+    each row of a state already reached and each target a reached state or
+    the next free number; a table read to the end has reached every state.
+    The tables are filled depth-first under exactly that rule, trying the
+    targets 0..seen in ascending order at each position (the ICDFA
+    canonical strings of Almeida, Moreira and Reis, 2007), so they come out
+    in lexicographic flat-table order and no other table is looked at.
+    Each table is paired with all 2**states accepting sets, consecutively,
+    the i-th holding exactly the states q with bit q of i set.
     """
     if states < 1:
         raise ValueError(f"state count must be positive, got {states}")
     width = len(alphabet)
+    cells = states * width
+    flat = [0] * cells
     subsets = [
         frozenset(q for q in range(states) if mask >> q & 1)
         for mask in range(1 << states)
     ]
-    for flat in itertools.product(range(states), repeat=states * width):
-        seen = 1
-        for i, t in enumerate(flat):
-            if i // width >= seen or t > seen:
-                break  # a row of an unreached state, or a number out of order
-            seen += t == seen
-        else:  # every row was read, so every state was reached
-            delta = tuple(flat[q * width : (q + 1) * width] for q in range(states))
-            for accepting in subsets:
-                yield Dfa(states, alphabet, 0, accepting, delta)
+
+    def fill(i: int, seen: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if i == cells:
+            yield tuple([tuple(flat[q * width : (q + 1) * width]) for q in range(states)])
+        elif i // width < seen:  # the row of a reached state
+            for t in range(min(seen + 1, states)):
+                flat[i] = t
+                yield from fill(i + 1, seen + (t == seen))
+
+    for delta in fill(0, 1):
+        for accepting in subsets:
+            yield Dfa(states, alphabet, 0, accepting, delta)
 
 
 def canonical_languages(states: int, alphabet: Alphabet = BINARY) -> tuple[Dfa, ...]:
     """All languages with state complexity <= states, as canonical minimal DFAs.
 
     For k = 1..states, keeps each candidate of enumerate_dfas(k) whose
-    states Moore refinement leaves all apart.  This loses no language and
-    yields each one once.  A language of state complexity k has a minimal
-    DFA with k states, unique up to renaming; numbered breadth-first from
-    its initial state it is one candidate of enumerate_dfas(k), the only
-    one of its renamings there, and its states are all apart.  Conversely a
-    kept candidate has every state reachable and no two states equivalent,
-    so it is the minimal DFA of its language, numbered as minimize numbers
-    it (minimize returns it unchanged), and k is that language's state
-    complexity: no other k and no other candidate gives the same language.
+    states are all apart: no two accept the same words.  This loses no
+    language and yields each one once.  A language of state complexity k
+    has a minimal DFA with k states, unique up to renaming; numbered
+    breadth-first from its initial state it is one candidate of
+    enumerate_dfas(k), the only one of its renamings there, and its states
+    are all apart.  Conversely a kept candidate has every state reachable
+    and no two states equivalent, so it is the minimal DFA of its language,
+    numbered as minimize numbers it (minimize returns it unchanged), and k
+    is that language's state complexity: no other k and no other candidate
+    gives the same language.
+
+    Apartness is decided for all 2**k accepting sets of a table at once
+    (_apart_sets), with no refinement per candidate.  Two states p and q
+    are apart under accepting set F exactly when some word leads them to
+    one state in F and one outside it: the empty word when F holds exactly
+    one of them, else a first symbol a followed by a word that sets the
+    successors delta(p, a) and delta(q, a) apart.  So the sets under which
+    each pair is apart solve apart(p, q) = SEP(p, q) | OR_a apart(delta(p,
+    a), delta(q, a)), and they are its least solution: any solution holds
+    SEP, and by induction on the length of a shortest separating word it
+    holds every F under which p and q are apart.  Updating pairs by the
+    equation, from SEP and in any order, only adds bits the least solution
+    holds and stops at a solution, so it stops at exactly the apart sets.
+    That is Moore refinement run on every accepting set at once, one bit
+    each.  A table's kept sets are those under which every pair is apart.
 
     Ordered by serialized canonical form (interchange.dumps), so downstream
     iteration order is reproducible: by state count, then the JSON text of
@@ -94,23 +118,65 @@ def canonical_languages(states: int, alphabet: Alphabet = BINARY) -> tuple[Dfa, 
     comes after its extensions, and "[]" comes last.  The build emits the
     candidates kept for each k grouped by accepting set in that order; each
     group keeps the flat-table order enumerate_dfas yields.  Beyond 9 states
-    the order would differ, but the table scan cannot finish there anyway.
-    Cached per (states, alphabet), however the alphabet is passed;
-    cache_clear empties the cache.
+    the order would differ, but the enumeration cannot finish there anyway.
+    A state count below 1 raises ValueError.  Cached per (states,
+    alphabet), however the alphabet is passed; cache_clear empties the
+    cache.
     """
+    if states < 1:
+        raise ValueError(f"state count must be positive, got {states}")
     return _canonical_languages(states, alphabet)
+
+
+def _apart_sets(delta: Sequence[Sequence[int]], inside: Sequence[int]) -> int:
+    """The accepting sets under which all states of delta are apart, as bits.
+
+    Bit F of an int stands for the accepting set {q : bit q of F is set},
+    and inside[q] holds the bits F of the sets containing q.  Iterates
+    apart(p, q) = SEP(p, q) | OR_a apart(delta(p, a), delta(q, a)) from
+    SEP(p, q) = inside[p] ^ inside[q] up to its least fixed point, the sets
+    under which p and q accept different words (see canonical_languages),
+    and returns the AND of it over all pairs p < q.
+    """
+    k = len(delta)
+    apart = [0] * (k * k)  # apart[p * k + q], symmetric; zero on the diagonal
+    pairs = []
+    for p in range(k):
+        for q in range(p + 1, k):
+            apart[p * k + q] = apart[q * k + p] = inside[p] ^ inside[q]
+            pairs.append((p * k + q, q * k + p, [s * k + t for s, t in zip(delta[p], delta[q])]))
+    changed = True
+    while changed:
+        changed = False
+        for pq, qp, successors in pairs:
+            old = new = apart[pq]
+            for st in successors:
+                new |= apart[st]
+            if new != old:
+                apart[pq] = apart[qp] = new
+                changed = True
+    kept = (1 << (1 << k)) - 1
+    for pq, _, _ in pairs:
+        kept &= apart[pq]
+    return kept
 
 
 @lru_cache(maxsize=None)
 def _canonical_languages(states: int, alphabet: Alphabet) -> tuple[Dfa, ...]:
     languages: list[Dfa] = []
     for k in range(1, states + 1):
-        groups: dict[frozenset[int], list[Dfa]] = {}
-        for d in enumerate_dfas(k, alphabet):
-            if moore_blocks(d.delta, [q in d.accepting for q in range(k)])[1] == k:
-                groups.setdefault(d.accepting, []).append(d)
-        for accepting in sorted(groups, key=lambda acc: (*sorted(acc), k)):
-            languages += groups[accepting]
+        sets = range(1 << k)
+        inside = [sum(1 << f for f in sets if f >> q & 1) for q in range(k)]
+        groups: list[list[Dfa]] = [[] for _ in sets]
+        # enumerate_dfas yields each table's candidates consecutively, the
+        # f-th with accepting set f.
+        for delta, candidates in itertools.groupby(enumerate_dfas(k, alphabet), key=attrgetter("delta")):
+            kept = _apart_sets(delta, inside)
+            for f, d in enumerate(candidates):
+                if kept >> f & 1:
+                    groups[f].append(d)
+        for f in sorted(sets, key=lambda f: (*[q for q in range(k) if f >> q & 1], k)):
+            languages += groups[f]
     return tuple(languages)
 
 
@@ -255,8 +321,9 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     s**(s*|alphabet|) tables times 2**s accepting sets per size s (checked,
     like the limits above, before any enumeration), and the work left after
     the fold: rows times the 64-bit words of a mask (checked before the
-    first row).  The build for size s scans the tables of every k <= s,
-    the s-state ones most of all, and keeps only accessible candidates.
+    first row).  The raw count overstates the build for size s: for each
+    k <= s it fills only the accessible k-state tables, depth-first, and
+    decides all 2**k accepting sets of a table in one pass.
     """
     sizes = tuple(sizes)
     if not sizes:

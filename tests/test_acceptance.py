@@ -138,13 +138,15 @@ def test_criterion_4_longer_tuples():
 
 
 def test_criterion_5_pair_searches_rediscover_bound():
+    # (3, 4) = 11 is the first blind rediscovery past size 3; (4, 4) is
+    # left out for time.
     violations = []
     for m in range(1, 4):
-        for n in range(m, 4):
+        for n in range(m, 5):
             report = tightness_search([m, n])
             if not report.attained or report.max_lss != m * n - 1:
                 violations.append((m, n, report.max_lss))
-    _report("5 blind pair searches attain mn-1 up to size 3", not violations)
+    _report("5 blind pair searches attain mn-1 up to sizes 3 and 4", not violations)
 
 
 def test_criterion_6_pumping_bounds():

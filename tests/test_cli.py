@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import signal
 import subprocess
@@ -208,6 +209,17 @@ def test_search_structured(capsys):
     assert doc["languages_per_size"] == [26, 26]
     assert len(doc["witness_dfas"]) == 2
     assert doc["witness_dfas"][0]["states"] <= 2
+
+
+def test_search_3_4_structured_digest(capsys):
+    # Frozen on the first run that measured it: (3, 4) = 11, the paper's
+    # mn - 1 found with no construction given.
+    code, out, _ = run_cli(capsys, "search", "--sizes", "3,4", "--format", "structured")
+    doc = json.loads(out)
+    assert (code, doc["max_lss"], doc["attained"]) == (0, 11, True)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e1d584a9717b82e7b1327addf2aec334c4d93667692da63946ae9c1051102a0a"
+    )
 
 
 def test_search_csv_unsupported(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 
 import pytest
@@ -19,6 +20,7 @@ from minword import (
     validate,
 )
 from minword import enumeration
+from minword.minimize import moore_blocks
 
 from helpers import bfs_numbering, minimize_two_pass, raw_dfas, scan_oracle
 
@@ -76,11 +78,63 @@ def test_canonical_languages_equal_the_raw_build(states, alphabet):
 def test_build_keeps_the_candidates_minimize_leaves_whole(states, alphabet):
     # The slow path as oracle: the build keeps a candidate exactly when
     # minimizing it removes no state.  minimize_two_pass checks the same
-    # without the Moore refinement that minimize and the build share.
+    # without the Moore refinement of minimize, and the build uses neither.
     kept = {d for d in canonical_languages(states, alphabet) if d.state_count == states}
     for d in enumerate_dfas(states, alphabet):
         whole = minimize(d).state_count == states
         assert (d in kept) == whole == (minimize_two_pass(d).state_count == states)
+
+
+def _tables(states, alphabet, accessible):
+    if accessible:
+        return sorted({d.delta for d in enumerate_dfas(states, alphabet)})
+    width = len(alphabet)
+    return [
+        tuple(flat[q * width : (q + 1) * width] for q in range(states))
+        for flat in itertools.product(range(states), repeat=states * width)
+    ]
+
+
+# Every table up to unary 4, binary 3 and ternary 2, unreachable states
+# included; the accessible tables of unary 5 and ternary 3.
+APART_CASES = [
+    pytest.param(n, alphabet, False, id=f"{name}-{n}")
+    for name, alphabet, largest in (("unary", UNARY, 4), ("binary", BINARY, 3), ("ternary", TERNARY, 2))
+    for n in range(1, largest + 1)
+] + [
+    pytest.param(5, UNARY, True, id="unary-5-accessible"),
+    pytest.param(3, TERNARY, True, id="ternary-3-accessible"),
+]
+
+
+@pytest.mark.parametrize("states, alphabet, accessible", APART_CASES)
+def test_apart_sets_agree_with_moore_refinement(states, alphabet, accessible):
+    # The slow path checks the fast one: bit f of a table's apart sets is
+    # set exactly when Moore refinement under accepting set f leaves every
+    # state in its own block.
+    sets = range(1 << states)
+    inside = [sum(1 << f for f in sets if f >> q & 1) for q in range(states)]
+    for delta in _tables(states, alphabet, accessible):
+        kept = enumeration._apart_sets(delta, inside)
+        assert kept >> len(sets) == 0
+        for f in sets:
+            apart = moore_blocks(delta, [f >> q & 1 for q in range(states)])[1] == states
+            assert (kept >> f & 1) == apart, (delta, f)
+
+
+def test_build_runs_no_refinement(monkeypatch):
+    # The build decides apartness for whole tables, so neither Moore
+    # refinement nor minimize is called while the languages are made.
+    def refuse(*args):
+        raise AssertionError("the language build refined a candidate")
+
+    minimize_module = importlib.import_module("minword.minimize")
+    monkeypatch.setattr(minimize_module, "moore_blocks", refuse)
+    monkeypatch.setattr(minimize_module, "minimize", refuse)
+    monkeypatch.setattr(enumeration, "minimize", refuse)
+    monkeypatch.setattr(enumeration, "moore_blocks", refuse, raising=False)
+    canonical_languages.cache_clear()
+    assert [sum(d.state_count == k for d in canonical_languages(3)) for k in (1, 2, 3)] == [2, 24, 1028]
 
 
 def test_four_state_languages_in_key_order():
@@ -98,6 +152,12 @@ def test_four_state_languages_in_key_order():
 def test_enumeration_rejects_zero_states():
     with pytest.raises(ValueError):
         list(enumerate_dfas(0))
+
+
+@pytest.mark.parametrize("states", [0, -2])
+def test_canonical_languages_rejects_nonpositive_states(states):
+    with pytest.raises(ValueError, match=f"state count must be positive, got {states}$"):
+        canonical_languages(states)
 
 
 def test_languages_with_one_state():
