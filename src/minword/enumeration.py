@@ -66,17 +66,27 @@ def enumerate_dfas(states: int, alphabet: Alphabet = BINARY) -> Iterator[Dfa]:
         for mask in range(1 << states)
     ]
 
-    def fill(i: int, seen: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    # A position pointer over the flat table, not recursion, so that the
+    # depth does not grow with the alphabet.  reached[i] counts the states
+    # reached by the cells before i; flat[i] is -1 before its first target.
+    reached = [1] * (cells + 1)
+    flat = [-1] * cells
+    i = 0
+    while i >= 0:
         if i == cells:
-            yield tuple([tuple(flat[q * width : (q + 1) * width]) for q in range(states)])
-        elif i // width < seen:  # the row of a reached state
-            for t in range(min(seen + 1, states)):
-                flat[i] = t
-                yield from fill(i + 1, seen + (t == seen))
-
-    for delta in fill(0, 1):
-        for accepting in subsets:
-            yield Dfa(states, alphabet, 0, accepting, delta)
+            delta = tuple([tuple(flat[q * width : (q + 1) * width]) for q in range(states)])
+            for accepting in subsets:
+                yield Dfa(states, alphabet, 0, accepting, delta)
+            i -= 1
+        # The row of a reached state takes the next target up to the next free
+        # number; any other row is a dead end.
+        elif i // width < reached[i] and flat[i] < min(reached[i], states - 1):
+            flat[i] += 1
+            reached[i + 1] = reached[i] + (flat[i] == reached[i])
+            i += 1
+        else:
+            flat[i] = -1
+            i -= 1
 
 
 def canonical_languages(states: int, alphabet: Alphabet = BINARY) -> tuple[Dfa, ...]:
@@ -384,8 +394,7 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     best_lss, best_key = -1, ()
     for row in itertools.product(*columns):
         keys, dfas = zip(*row)
-        found = walk([d.delta for d in dfas], [d.accepting for d in dfas], (0,) * len(dfas))
-        lss, resolved = _row_pass(found, moves, accepts, everything)
+        lss, resolved = _row_pass(walk(dfas), moves, accepts, everything)
         if lss < best_lss or not resolved:
             continue
         row_key = tuple(itertools.chain.from_iterable(keys))

@@ -4,7 +4,7 @@ Minimal complete DFAs are unique up to state renaming, so once states are
 numbered in breadth-first first-visit order two minimized DFAs are
 structurally equal exactly when they accept the same language.  That makes
 the output of minimize() usable directly as a dict key for language-level
-deduplication.  One breadth-first pass over the input yields that numbering.
+deduplication.  One product.walk over the input yields that numbering.
 
 Dead states stay: the automaton remains complete, matching the convention
 that state complexity counts the states of a complete DFA.
@@ -14,36 +14,26 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .automaton import AlphabetMismatchError, Dfa
+from .automaton import Dfa
+from .product import shared_alphabet, walk
 
 
 def minimize(dfa: Dfa) -> Dfa:
     """Minimal complete DFA for the same language, canonically numbered.
 
-    One pass numbers the reachable states in breadth-first first-visit order,
-    symbols in alphabet order, and builds their rows.  moore_blocks then
-    partitions them, block ids assigned by first occurrence in that order.
-    They are already the breadth-first numbering of the quotient: the least
-    word reaching a block is the least word reaching its first-discovered
-    member.  So each output row is the first member's row mapped through the
-    block ids.
+    One product.walk numbers the reachable states in breadth-first
+    first-visit order, symbols in alphabet order, and builds their rows.
+    moore_blocks then partitions them, block ids assigned by first occurrence
+    in that order.  They are already the breadth-first numbering of the
+    quotient: the least word reaching a block is the least word reaching its
+    first-discovered member.  So each output row is the first member's row
+    mapped through the block ids.
     """
-    accepting = dfa.accepting
-    index = {dfa.initial: 0}
-    order = [dfa.initial]
-    rows: list[list[int]] = []
-    # order grows while it is iterated: it is the BFS queue as well.
-    for q in order:
-        row = []
-        for target in dfa.delta[q]:
-            idx = index.get(target)
-            if idx is None:
-                idx = index[target] = len(order)
-                order.append(target)
-            row.append(idx)
-        rows.append(row)
-
-    block, n_blocks = moore_blocks(rows, [q in accepting for q in order])
+    found = walk([dfa])
+    accepting = [False] * len(found.rows)
+    for i in found.accepting:
+        accepting[i] = True
+    block, n_blocks = moore_blocks(found.rows, accepting)
     firsts: list[int] = []
     for i, b in enumerate(block):
         if b == len(firsts):
@@ -52,8 +42,8 @@ def minimize(dfa: Dfa) -> Dfa:
         n_blocks,
         dfa.alphabet,
         0,
-        frozenset(b for b, i in enumerate(firsts) if order[i] in accepting),
-        tuple([tuple([block[t] for t in rows[i]]) for i in firsts]),
+        frozenset(b for b, i in enumerate(firsts) if accepting[i]),
+        tuple([tuple([block[t] for t in found.rows[i]]) for i in firsts]),
     )
 
 
@@ -94,9 +84,5 @@ def state_complexity(dfa: Dfa) -> int:
 
 def equivalent(a: Dfa, b: Dfa) -> bool:
     """Whether two DFAs over the same alphabet accept the same language."""
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatchError(
-            f"cannot compare languages over different alphabets: "
-            f"{a.alphabet.symbols} != {b.alphabet.symbols}"
-        )
+    shared_alphabet([a, b])
     return minimize(a) == minimize(b)

@@ -4,7 +4,9 @@ Every answer minword gives is a breadth-first walk of the product of some
 DFAs: only tuples reachable from the tuple of initial states are visited,
 symbols are explored in alphabet order, and tuples are numbered in discovery
 order, so the numbering is deterministic.  product() runs the whole walk;
-the shortest-word searches stop it at the first all-accepting tuple.
+the shortest-word searches stop it at the first all-accepting tuple.  The
+canonical numbering of a minimal DFA is a walk too, of a one-component
+product.
 """
 
 from __future__ import annotations
@@ -46,19 +48,18 @@ def shared_alphabet(components: Sequence[Dfa]) -> Alphabet:
     return alphabet
 
 
-def walk(
-    deltas: Sequence[tuple[tuple[int, ...], ...]],
-    acceptings: Sequence[frozenset[int]],
-    start: tuple[int, ...],
-    stop: bool = False,
-) -> Walk:
-    """Breadth-first walk of the product reachable from the start tuple.
+def walk(components: Sequence[Dfa], stop: bool = False) -> Walk:
+    """Breadth-first walk of the product reachable from the initial tuple.
 
-    With stop, the walk ends at the first all-accepting tuple, which is
-    reached by the shortlex-least accepted word that the parent links spell.
-    Each kind of walk keeps only what its callers read, parents or rows, to
-    keep the memory of large walks down.
+    The initial tuple, the transition tables and the accepting sets are read
+    from the components.  With stop, the walk ends at the first all-accepting
+    tuple, which is reached by the shortlex-least accepted word that the
+    parent links spell.  Each kind of walk keeps only what its callers read,
+    parents or rows, to keep the memory of large walks down.
     """
+    deltas = [d.delta for d in components]
+    acceptings = [d.accepting for d in components]
+    start = tuple([d.initial for d in components])
     ids = {start: 0}
     tags = [start]
     parents = [(-1, -1)]
@@ -90,10 +91,6 @@ def walk(
 def product(components: Sequence[Dfa]) -> ProductResult:
     """Intersection product: the result accepts w iff every component accepts w."""
     alphabet = shared_alphabet(components)
-    found = walk(
-        [d.delta for d in components],
-        [d.accepting for d in components],
-        tuple(d.initial for d in components),
-    )
+    found = walk(components)
     dfa = Dfa(len(found.tags), alphabet, 0, frozenset(found.accepting), tuple(found.rows))
     return ProductResult(dfa=dfa, tags=tuple(found.tags))

@@ -37,12 +37,7 @@ def intersection_lss(components: Sequence[Dfa]) -> LssResult | None:
     shared_alphabet(components)
     if not all(d.accepting for d in components):
         return None
-    found = walk(
-        [d.delta for d in components],
-        [d.accepting for d in components],
-        tuple(d.initial for d in components),
-        stop=True,
-    )
+    found = walk(components, stop=True)
     if not found.accepting:
         return None
     symbols: list[int] = []

@@ -35,13 +35,17 @@ TRIPLE_2_2_3_MAX_LSS = 7
 # (2, 2, 2, 2, 3) were frozen from the per-tuple walk that the row passes
 # replaced.  Six 2-state components still reach only 5, as do the
 # intersections of every set of 1 to 6 of the 24 nontrivial 2-state
-# languages.
+# languages.  (2, 2, 4) and (4, 2, 2) put the 4-state mask column last,
+# where the search may stop at the target, and first, where it may not;
+# both fold their 2-state columns.
 FOLDED_MAX_LSS = {
     (2, 2, 2): (4, "1011"),
     (2, 2, 2, 2): (5, "01011"),
     (2, 2, 2, 2, 2, 2): (5, "01011"),
     (2, 2, 2, 3): (8, "01001011"),
     (2, 2, 2, 2, 3): (9, "011100100"),
+    (2, 2, 4): (11, "11111011111"),
+    (4, 2, 2): (11, "11101110111"),
 }
 
 
@@ -132,7 +136,8 @@ def test_criterion_4_longer_tuples():
         assert recheck.witness == report.witness_word
         found[sizes] = (report.max_lss, format_word(BINARY, report.witness_word))
     _report(
-        "4 (2,2,2), (2,2,2,2), (2,)*6, (2,2,2,3) and (2,2,2,2,3) reach lss 4, 5, 5, 8 and 9, not 7, 15, 63, 23 and 47",
+        "4 (2,2,2), (2,2,2,2), (2,)*6, (2,2,2,3), (2,2,2,2,3), (2,2,4) and (4,2,2) "
+        "reach lss 4, 5, 5, 8, 9, 11 and 11, not 7, 15, 63, 23, 47, 15 and 15",
         found == FOLDED_MAX_LSS,
     )
 

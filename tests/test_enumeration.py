@@ -34,15 +34,33 @@ def test_enumeration_counts(states, expected):
 
 
 @pytest.mark.parametrize(
-    "alphabet, expected",
-    [(BINARY, (2, 48, 1728, 83968)), (UNARY, (2, 8, 24, 64)), (TERNARY, (2, 224, 63720))],
+    "alphabet, expected, tables",
+    [
+        (BINARY, (2, 48, 1728, 83968), (1, 12, 216, 5248)),
+        (UNARY, (2, 8, 24, 64), (1, 2, 3, 4)),
+        (TERNARY, (2, 224, 63720), (1, 56, 7965)),
+    ],
     ids=["binary", "unary", "ternary"],
 )
-def test_accessible_enumeration_counts(alphabet, expected):
-    # Binary tables: 1, 6, 108 and 5,248 (initially connected DFAs up to
+def test_accessible_enumeration_counts(alphabet, expected, tables):
+    # Binary tables: 1, 12, 216 and 5,248 (initially connected DFAs up to
     # renaming), each with 2**states accepting sets.
-    counts = tuple(sum(1 for _ in enumerate_dfas(n, alphabet)) for n in range(1, len(expected) + 1))
-    assert counts == expected
+    counts, table_counts = [], []
+    for n in range(1, len(expected) + 1):
+        deltas = [d.delta for d in enumerate_dfas(n, alphabet)]
+        counts.append(len(deltas))
+        table_counts.append(len(set(deltas)))
+    assert (tuple(counts), tuple(table_counts)) == (expected, tables)
+
+
+def test_one_state_over_a_large_alphabet():
+    # One state over 1,200 letters is a 1,200-cell table, deeper than the
+    # default recursion limit: the fill must not recurse per cell.
+    letters = Alphabet(tuple(f"s{i}" for i in range(1200)))
+    assert [sorted(d.accepting) for d in enumerate_dfas(1, letters)] == [[], [0]]
+    assert len(canonical_languages(1, letters)) == 2
+    report = tightness_search([1], letters)
+    assert (report.max_lss, report.attained, report.witness_word) == (0, True, ())
 
 
 def test_enumerated_dfas_are_valid_with_initial_zero():
@@ -408,9 +426,9 @@ def _full_language():
 def _row_widths(monkeypatch):
     widths, real = [], enumeration.walk
 
-    def counting_walk(deltas, acceptings, start):
-        widths.append(len(deltas))
-        return real(deltas, acceptings, start)
+    def counting_walk(components):
+        widths.append(len(components))
+        return real(components)
 
     monkeypatch.setattr(enumeration, "walk", counting_walk)
     return widths

@@ -18,9 +18,8 @@ from minword import (
     state_complexity,
     unary_residue_dfa,
 )
-from minword.product import walk
 
-from helpers import all_words, dfas, minimize_two_pass, raw_dfas, reachable_states
+from helpers import all_words, bfs_numbering, dfas, minimize_two_pass, raw_dfas, reachable_states
 
 
 def test_minimize_single_state():
@@ -140,10 +139,8 @@ def test_canonical_form_is_tidy(d, data):
     # no further merges possible
     assert state_complexity(m) == m.state_count
     assert m == minimize_two_pass(d)
-    # the numbering is breadth-first: a walk discovers states 0..k-1 in order
-    assert walk([m.delta], [m.accepting], (m.initial,)).tags == [
-        (q,) for q in range(m.state_count)
-    ]
+    # the numbering is breadth-first: a BFS from the initial state visits 0..k-1 in order
+    assert bfs_numbering(m) == list(range(m.state_count))
     # renaming the input's states, the initial one included, changes nothing
     perm = data.draw(st.permutations(range(d.state_count)))
     renamed = Dfa(
