@@ -28,7 +28,6 @@ from typing import Iterator, Sequence
 
 from .automaton import Alphabet, BINARY, Dfa, Word
 from .minimize import minimize
-from .product import Walk, product, walk
 from .shortest import intersection_lss
 
 MAX_PRODUCT_STATES = 64
@@ -60,7 +59,6 @@ def enumerate_dfas(states: int, alphabet: Alphabet = BINARY) -> Iterator[Dfa]:
         raise ValueError(f"state count must be positive, got {states}")
     width = len(alphabet)
     cells = states * width
-    flat = [0] * cells
     subsets = [
         frozenset(q for q in range(states) if mask >> q & 1)
         for mask in range(1 << states)
@@ -243,19 +241,20 @@ def _column_masks(column: Sequence[tuple[tuple[int, ...], Dfa]]) -> tuple[list, 
     )
 
 
-def _row_pass(row: Walk, moves: list, accepts: list[int], everything: int) -> tuple[int, int]:
+def _row_pass(row: Dfa, moves: list, accepts: list[int], everything: int) -> tuple[int, int]:
     """(level, mask): the last level at which languages of the column meet the row.
 
     A level-synchronous breadth-first walk over pairs (row state q, column
-    state l), numbered q * states + l.  Each pair of a level carries the
-    languages that reach it first at that level, and a language resolves
-    at the first level where it stands on a pair accepted by both sides: that
-    level is the length of the shortest word of its intersection with the
-    row.  Returns (-1, 0) when no language meets the row.
+    state l), numbered q * states + l, from (0, 0); the row is minimized.
+    Each pair of a level carries the languages that reach it first at that
+    level, and a language resolves at the first level where it stands on a
+    pair accepted by both sides: that level is the length of the shortest
+    word of its intersection with the row.  Returns (-1, 0) when no language
+    meets the row.
     """
     states = len(moves)
-    accepting = set(row.accepting)
-    unseen = [everything] * (len(row.tags) * states)
+    accepting = row.accepting
+    unseen = [everything] * (row.state_count * states)
     unseen[0], frontier = 0, {0: everything}
     unresolved, level, last = everything, 0, (-1, 0)
     while frontier:
@@ -274,7 +273,7 @@ def _row_pass(row: Walk, moves: list, accepts: list[int], everything: int) -> tu
             if not mask:
                 continue
             q, l = divmod(pair, states)
-            for q2, targets in zip(row.rows[q], moves[l]):
+            for q2, targets in zip(row.delta[q], moves[l]):
                 base = q2 * states
                 for l2, move in targets:
                     new = mask & move & unseen[base + l2]
@@ -299,9 +298,8 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     The search is one list of columns, one per size above 1, each holding
     (key, dfa) entries in key order.  A size-1 component has no column and
     index 0 in the witness key: its only nonempty language is the full one,
-    which leaves every intersection as it is.  For the same reason a pair
-    meeting a 1-state language, which in a column can only be the full one,
-    meets as its other side and makes no product.
+    which leaves every intersection as it is.  Every meet, of a fold pair or
+    of a row, is one minimize call on its languages.
 
     The mask column is the one with the most entries, the last such one on
     a tie.  A tuple's lss depends only on its intersection language, so
@@ -313,16 +311,16 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     it extends some key k of an entry C of the first column, C's least key
     is no larger than k, and the same extension of it reaches the same
     intersection.  A row is one tuple of the other columns, in key order
-    (with none left, the one row is the full language).  One _row_pass per
-    row gives the row's maximum over the whole mask column and the least
-    mask entry attaining it, whose key goes in at the mask column's place.
-    A least key attaining the maximum is a class's least key with the same
-    mask entry, so the search keeps the first strictly larger maximum and,
-    on a tie, the least full key.  Only when the mask column is last is that
-    the first row, so only then does the search stop at the target
-    prod(sizes) - 1, which no lss exceeds.  The shortlex-least witness word
-    depends only on the intersection; one stopping walk of the witness
-    tuple spells it.
+    (with none left, the one row is the full language).  One _row_pass on
+    the meet of a row gives its maximum over the whole mask column and the
+    least mask entry attaining it, whose key goes in at the mask column's
+    place.  A least key attaining the maximum is a class's least key with
+    the same mask entry, so the search keeps the first strictly larger
+    maximum and, on a tie, the least full key.  Only when the mask column is
+    last is that the first row, so only then does the search stop at the
+    target prod(sizes) - 1, which no lss exceeds.  The shortlex-least
+    witness word depends only on the intersection; one stopping walk of the
+    witness tuple spells it.
 
     Products over MAX_PRODUCT_STATES states are refused, and so are more
     than MAX_PRODUCT_STATES components: a product within the limit has at
@@ -376,7 +374,7 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     while len(columns) > 1 and len(columns[0]) * len(columns[1]) <= MAX_FOLD_PRODUCTS:
         folded: dict[Dfa, tuple[int, ...]] = {}
         for (key, a), (tail, b) in itertools.product(columns[0], columns[1]):
-            meet = b if a.state_count == 1 else a if b.state_count == 1 else minimize(product([a, b]).dfa)
+            meet = minimize(a, b)
             if meet.accepting:
                 folded.setdefault(meet, key + tail)
         columns[:2] = [[(key, d) for d, key in folded.items()]]
@@ -394,7 +392,7 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     best_lss, best_key = -1, ()
     for row in itertools.product(*columns):
         keys, dfas = zip(*row)
-        lss, resolved = _row_pass(walk(dfas), moves, accepts, everything)
+        lss, resolved = _row_pass(minimize(*dfas), moves, accepts, everything)
         if lss < best_lss or not resolved:
             continue
         row_key = tuple(itertools.chain.from_iterable(keys))

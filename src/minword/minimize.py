@@ -4,7 +4,8 @@ Minimal complete DFAs are unique up to state renaming, so once states are
 numbered in breadth-first first-visit order two minimized DFAs are
 structurally equal exactly when they accept the same language.  That makes
 the output of minimize() usable directly as a dict key for language-level
-deduplication.  One product.walk over the input yields that numbering.
+deduplication.  One product.walk over the input DFAs, of their product when
+there are several, yields that numbering.
 
 Dead states stay: the automaton remains complete, matching the convention
 that state complexity counts the states of a complete DFA.
@@ -18,18 +19,19 @@ from .automaton import Dfa
 from .product import shared_alphabet, walk
 
 
-def minimize(dfa: Dfa) -> Dfa:
-    """Minimal complete DFA for the same language, canonically numbered.
+def minimize(*components: Dfa) -> Dfa:
+    """Minimal complete DFA of the components' intersection, canonically numbered.
 
-    One product.walk numbers the reachable states in breadth-first
-    first-visit order, symbols in alphabet order, and builds their rows.
-    moore_blocks then partitions them, block ids assigned by first occurrence
-    in that order.  They are already the breadth-first numbering of the
-    quotient: the least word reaching a block is the least word reaching its
-    first-discovered member.  So each output row is the first member's row
-    mapped through the block ids.
+    The components share one alphabet.  One product.walk numbers the
+    reachable tuples in breadth-first first-visit order, symbols in alphabet
+    order, and builds their rows.  moore_blocks then partitions them, block
+    ids assigned by first occurrence in that order.  They are already the
+    breadth-first numbering of the quotient: the least word reaching a block
+    is the least word reaching its first-discovered member.  So each output
+    row is the first member's row mapped through the block ids.
     """
-    found = walk([dfa])
+    alphabet = shared_alphabet(components)
+    found = walk(components)
     accepting = [False] * len(found.rows)
     for i in found.accepting:
         accepting[i] = True
@@ -40,7 +42,7 @@ def minimize(dfa: Dfa) -> Dfa:
             firsts.append(i)
     return Dfa(
         n_blocks,
-        dfa.alphabet,
+        alphabet,
         0,
         frozenset(b for b, i in enumerate(firsts) if accepting[i]),
         tuple([tuple([block[t] for t in found.rows[i]]) for i in firsts]),

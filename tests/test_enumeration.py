@@ -296,7 +296,7 @@ def _refuse_rows(monkeypatch):
     def refuse(*args):
         raise AssertionError("a row was passed despite the budget")
 
-    monkeypatch.setattr(enumeration, "walk", refuse)
+    monkeypatch.setattr(enumeration, "_row_pass", refuse)
 
 
 def test_search_budget_guard_tuples_after_enumeration(monkeypatch):
@@ -363,48 +363,63 @@ def test_fold_equals_scan_oracle(sizes, alphabet):
     assert (report.max_lss, report.witness_dfas, report.witness_word) == scan_oracle(lists)
 
 
-def _count_products(monkeypatch):
-    calls, real = [], enumeration.product
+def _count_fold_meets(monkeypatch):
+    # Every meet is a minimize call; each row makes one just before its row
+    # pass, which takes it off again, so what stays are the fold's meets.
+    calls, real_minimize, real_pass = [], enumeration.minimize, enumeration._row_pass
 
-    def counting_product(dfas):
+    def counting_minimize(*dfas):
         calls.append(tuple(d.state_count for d in dfas))
-        return real(dfas)
+        return real_minimize(*dfas)
 
-    monkeypatch.setattr(enumeration, "product", counting_product)
+    def row_pass(*args):
+        calls.pop()
+        return real_pass(*args)
+
+    monkeypatch.setattr(enumeration, "minimize", counting_minimize)
+    monkeypatch.setattr(enumeration, "_row_pass", row_pass)
     return calls
 
 
 # (2,2,2) has 25 nonempty languages per size.  The first fold step meets
-# 25 * 25 pairs, so it runs only under a cap of at least 625.  Of those
-# pairs, 49 meet the full language (25 + 25 - 1) and make no product.
-@pytest.mark.parametrize("cap, products", [(0, 0), (624, 0), (625, 576)])
-def test_fold_cap_walks_the_rest(monkeypatch, cap, products):
-    calls = _count_products(monkeypatch)
+# 25 * 25 pairs, so it runs only under a cap of at least 625.  Each pair is
+# one meet, the 49 that hold the full language (25 + 25 - 1) too.
+@pytest.mark.parametrize("cap, meets", [(0, 0), (624, 0), (625, 625)])
+def test_fold_cap_walks_the_rest(monkeypatch, cap, meets):
+    calls = _count_fold_meets(monkeypatch)
     monkeypatch.setattr(enumeration, "MAX_FOLD_PRODUCTS", cap)
     report = tightness_search([2, 2, 2])
-    assert len(calls) == products
+    assert len(calls) == meets
     lists = [[d for d in canonical_languages(2) if d.accepting]] * 3
     assert (report.max_lss, report.witness_dfas, report.witness_word) == scan_oracle(lists)
 
 
 def test_size_one_component_makes_no_product(monkeypatch):
     # A size-1 component has no column, so (2,2,1,2) folds like (2,2,2):
-    # 625 pairs, of which the 49 that meet the full language make no product.
-    calls = _count_products(monkeypatch)
+    # 625 pairs, one meet each, the 49 that hold the full language too.
+    calls = _count_fold_meets(monkeypatch)
     report = tightness_search([2, 2, 1, 2])
-    assert len(calls) == 576
+    assert len(calls) == 625
     lists = [[d for d in canonical_languages(s) if d.accepting] for s in (2, 2, 1, 2)]
     assert (report.max_lss, report.witness_dfas, report.witness_word) == scan_oracle(lists)
 
 
-@pytest.mark.parametrize("sizes", [(2, 2, 2), (2, 2, 3)], ids=["2,2,2", "2,2,3"])
-def test_full_language_enters_no_product(monkeypatch, sizes):
-    # Every size-2 list holds its own copy of the 1-state full language;
-    # meeting it leaves the other side as it is, so it makes no product.
-    calls = _count_products(monkeypatch)
-    tightness_search(sizes)
-    assert calls
-    assert all(1 not in counts for counts in calls)
+def test_every_walk_is_a_meet_or_the_witness(monkeypatch):
+    # (2,2,2) meets 625 fold pairs and 135 rows, one minimize call and one
+    # walk each; the only other walk spells the witness word.
+    walks, meets = [], _row_widths(monkeypatch)
+    for name in ("minword.product", "minword.minimize", "minword.shortest"):
+        module = importlib.import_module(name)
+        real = module.walk
+
+        def counting_walk(components, stop=False, real=real):
+            walks.append(stop)
+            return real(components, stop)
+
+        monkeypatch.setattr(module, "walk", counting_walk)
+    tightness_search([2, 2, 2])
+    assert (len(walks), len(meets)) == (761, 760)
+    assert walks.count(True) == 1
 
 
 def test_fold_keeps_a_class_met_only_by_the_full_language(monkeypatch):
@@ -424,13 +439,14 @@ def _full_language():
 
 
 def _row_widths(monkeypatch):
-    widths, real = [], enumeration.walk
+    # The arity of every meet; in searches that make no fold, those are the rows.
+    widths, real = [], enumeration.minimize
 
-    def counting_walk(components):
+    def counting_minimize(*components):
         widths.append(len(components))
-        return real(components)
+        return real(*components)
 
-    monkeypatch.setattr(enumeration, "walk", counting_walk)
+    monkeypatch.setattr(enumeration, "minimize", counting_minimize)
     return widths
 
 
@@ -455,20 +471,21 @@ def test_size_one_components_take_no_part(monkeypatch):
 
 def test_fold_stops_before_a_step_over_the_cap(monkeypatch):
     # (3,3,3): the last 3 is the mask column; folding the other two would
-    # make 1,053 * 1,053 products, over MAX_FOLD_PRODUCTS, so the search
-    # passes rows before making any.
+    # make 1,053 * 1,053 meets, over MAX_FOLD_PRODUCTS, so the search passes
+    # rows before making any.  The one meet seen is the first row's own, of
+    # the full languages that head both size-3 lists.
     class Passed(Exception):
         pass
 
     def refuse(*args):
         raise Passed
 
-    calls = _count_products(monkeypatch)
-    monkeypatch.setattr(enumeration, "walk", refuse)
+    calls = _count_fold_meets(monkeypatch)
+    monkeypatch.setattr(enumeration, "_row_pass", refuse)
     assert 1053 * 1053 > enumeration.MAX_FOLD_PRODUCTS
     with pytest.raises(Passed):
         tightness_search([3, 3, 3])
-    assert calls == []
+    assert calls == [(1, 1)]
 
 
 def test_search_refuses_over_64_components(monkeypatch):

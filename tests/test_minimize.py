@@ -154,3 +154,19 @@ def test_canonical_form_is_tidy(d, data):
         ),
     )
     assert minimize(renamed) == m
+
+
+@given(components=st.lists(dfas(max_states=4), min_size=2, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_minimize_meets_components(components):
+    assert minimize(*components) == minimize(product(components).dfa)
+
+
+def test_minimize_meet_requires_same_alphabet():
+    with pytest.raises(AlphabetMismatchError):
+        minimize(ones_mod_dfa(2), unary_residue_dfa(0, 2))
+
+
+def test_minimize_needs_a_component():
+    with pytest.raises(ValueError):
+        minimize()
