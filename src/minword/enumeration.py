@@ -206,39 +206,36 @@ class SearchReport:
     languages_per_size: tuple[int, ...]
 
 
-def _column_masks(column: Sequence[tuple[tuple[int, ...], Dfa]]) -> tuple[list, list[int]]:
-    """The entries of a column as bits of ints: bit i stands for entry i.
+def _column_masks(languages: Sequence[Dfa]) -> tuple[list, list[int]]:
+    """The languages of a list as bits of ints: bit i stands for language i.
 
     Returns (moves, accepts): moves[l][a] lists the (l2, mask) pairs whose
-    mask holds the entries with delta(l, a) = l2, and accepts[l] the entries
-    accepting l.  Every entry is a minimized DFA (a canonical language, a
-    fold class or the full language), and minimize numbers states from the
-    initial one, so every entry starts at state 0.  Bits are set in
-    bytearrays and converted once, which keeps the build linear.
+    mask holds the languages with delta(l, a) = l2, and accepts[l] the
+    languages accepting l.  Every language is a minimized DFA (a canonical
+    language or the full one), and minimize numbers states from the initial
+    one, so every language starts at state 0.  For each (l, a) the targets of
+    all languages are one byte string, last language first so that it reads
+    as a base-2 numeral once each byte is turned into a digit, with 255 for
+    a language that has no state l; so every language needs fewer than 255
+    states, which SEARCH_BUDGET keeps to 6 or fewer (unary 7 states alone
+    is 7**7 * 2**7 > 10**8 raw DFAs).
     """
-    states = max(d.state_count for _, d in column)
-    width = len(column[0][1].alphabet)
-    size = (len(column) + 7) // 8
-    moves = [[[bytearray(size) for _ in range(states)] for _ in range(width)] for _ in range(states)]
-    accepts = [bytearray(size) for _ in range(states)]
-    for i, (_, d) in enumerate(column):
-        byte, bit = i >> 3, 1 << (i & 7)
-        for l, row in enumerate(d.delta):
-            for a, l2 in enumerate(row):
-                moves[l][a][l2][byte] |= bit
-        for l in d.accepting:
-            accepts[l][byte] |= bit
-
-    def ints(arrays: list[bytearray]) -> list[int]:
-        return [int.from_bytes(bits, "little") for bits in arrays]
-
-    return (
-        [
-            [[(l2, mask) for l2, mask in enumerate(ints(targets)) if mask] for targets in by_symbol]
-            for by_symbol in moves
-        ],
-        ints(accepts),
-    )
+    states = max(d.state_count for d in languages)
+    width = len(languages[0].alphabet)
+    column = languages[::-1]
+    missing = (255,) * width
+    digits = [bytes(49 if b == l2 else 48 for b in range(256)) for l2 in range(states)]
+    moves, accepts = [], []
+    for l in range(states):
+        rows = [d.delta[l] if l < d.state_count else missing for d in column]
+        by_symbol = []
+        for a in range(width):
+            targets = bytes(row[a] for row in rows)
+            masks = [int(targets.translate(digits[l2]), 2) for l2 in range(states)]
+            by_symbol.append([(l2, mask) for l2, mask in enumerate(masks) if mask])
+        moves.append(by_symbol)
+        accepts.append(int(bytes(49 if l in d.accepting else 48 for d in column), 2))
+    return moves, accepts
 
 
 def _row_pass(row: Dfa, moves: list, accepts: list[int], everything: int) -> tuple[int, int]:
@@ -295,15 +292,18 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     intersections and the least index tuple attaining it; the lists are
     sorted by serialization, so that is the least serialized tuple.
 
-    The search is one list of columns, one per size above 1, each holding
-    (key, dfa) entries in key order.  A size-1 component has no column and
-    index 0 in the witness key: its only nonempty language is the full one,
-    which leaves every intersection as it is.  Every meet, of a fold pair or
-    of a row, is one minimize call on its languages.
+    The search works on the nonempty language lists of the sizes above 1.
+    A size-1 component has no list and index 0 in the witness key: its only
+    nonempty language is the full one, which leaves every intersection as
+    it is.  The mask column is the longest list, the last such one on a
+    tie, used as is: bit i of a mask stands for its language i.  With no
+    size above 1 it is the full language alone.  Every other list becomes a
+    column of (key, dfa) entries in key order, language i under key (i,).
+    Every meet, of a fold pair or of a row, is one minimize call on its
+    languages.
 
-    The mask column is the one with the most entries, the last such one on
-    a tie.  A tuple's lss depends only on its intersection language, so
-    while more than one other column remains and the first two meet at most
+    A tuple's lss depends only on its intersection language, so while more
+    than one other column remains and the first two meet at most
     MAX_FOLD_PRODUCTS pairs, they are folded into one column of intersection
     classes; the cap bounds the classes held.  A class's key is the
     concatenated keys of a pair reaching it.  Pairs are visited in key
@@ -313,12 +313,12 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     intersection.  A row is one tuple of the other columns, in key order
     (with none left, the one row is the full language).  One _row_pass on
     the meet of a row gives its maximum over the whole mask column and the
-    least mask entry attaining it, whose key goes in at the mask column's
-    place.  A least key attaining the maximum is a class's least key with
-    the same mask entry, so the search keeps the first strictly larger
-    maximum and, on a tie, the least full key.  Only when the mask column is
-    last is that the first row, so only then does the search stop at the
-    target prod(sizes) - 1, which no lss exceeds.  The shortlex-least
+    least mask language attaining it, whose index goes in at the mask
+    column's place.  A least key attaining the maximum is a class's least
+    key with the same mask language, so the search keeps the first strictly
+    larger maximum and, on a tie, the least full key.  Only when the mask
+    column is last is that the first row, so only then does the search stop
+    at the target prod(sizes) - 1, which no lss exceeds.  The shortlex-least
     witness word depends only on the intersection; one stopping walk of the
     witness tuple spells it.
 
@@ -360,17 +360,16 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     total = prod(languages_per_size)
     examined = prod(len(lst) for lst in nonempty_lists)
 
-    # The full language as an entry with an empty key: it stands in for a
-    # missing column and adds nothing to a key.
-    full = ((), Dfa(1, alphabet, 0, frozenset((0,)), ((0,) * len(alphabet),)))
-    columns = [
-        [((i,), d) for i, d in enumerate(lst)]
-        for s, lst in zip(sizes, nonempty_lists)
-        if s > 1
-    ] or [[full]]
-    place = max(range(len(columns)), key=lambda c: (len(columns[c]), c))
-    masked = columns.pop(place)
-    masked_last = place == len(columns)
+    # The full language stands in for a missing list: as the mask list when
+    # no size exceeds 1 (its spliced key (0,) is then never read, because
+    # every component takes index 0), and as the one row when no other
+    # column is left (its empty key adds nothing).
+    full = Dfa(1, alphabet, 0, frozenset((0,)), ((0,) * len(alphabet),))
+    lists = [lst for s, lst in zip(sizes, nonempty_lists) if s > 1] or [(full,)]
+    place = max(range(len(lists)), key=lambda c: (len(lists[c]), c))
+    masked = lists.pop(place)
+    masked_last = place == len(lists)
+    columns = [[((i,), d) for i, d in enumerate(lst)] for lst in lists]
     while len(columns) > 1 and len(columns[0]) * len(columns[1]) <= MAX_FOLD_PRODUCTS:
         folded: dict[Dfa, tuple[int, ...]] = {}
         for (key, a), (tail, b) in itertools.product(columns[0], columns[1]):
@@ -378,7 +377,7 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
             if meet.accepting:
                 folded.setdefault(meet, key + tail)
         columns[:2] = [[(key, d) for d, key in folded.items()]]
-    columns = columns or [[full]]
+    columns = columns or [[((), full)]]
     rows, words = prod(len(column) for column in columns), -(-len(masked) // 64)
     if rows * words > SEARCH_BUDGET:
         raise BudgetExceededError(
@@ -396,7 +395,7 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
         if lss < best_lss or not resolved:
             continue
         row_key = tuple(itertools.chain.from_iterable(keys))
-        key = row_key[:place] + masked[(resolved & -resolved).bit_length() - 1][0] + row_key[place:]
+        key = (*row_key[:place], (resolved & -resolved).bit_length() - 1, *row_key[place:])
         if lss > best_lss or key < best_key:
             best_lss, best_key = lss, key
             if best_lss == target and masked_last:

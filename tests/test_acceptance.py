@@ -38,7 +38,10 @@ TRIPLE_2_2_3_MAX_LSS = 7
 # languages.  (2, 2, 4) and (4, 2, 2) put the 4-state mask column last,
 # where the search may stop at the target, and first, where it may not;
 # both fold their 2-state columns.  (2, 2, 2, 4) folds three 2-state
-# columns, in two steps, ahead of the 4-state mask column.
+# columns, in two steps, ahead of the 4-state mask column.  (2, 3, 3) folds
+# 25 * 1,053 pairs into 12,649 classes, whose rows run against the 17-word
+# mask of the last 1,053-language list: the widest mask here, the mask
+# column last.
 FOLDED_MAX_LSS = {
     (2, 2, 2): (4, "1011"),
     (2, 2, 2, 2): (5, "01011"),
@@ -48,6 +51,7 @@ FOLDED_MAX_LSS = {
     (2, 2, 4): (11, "11111011111"),
     (4, 2, 2): (11, "11101110111"),
     (2, 2, 2, 4): (14, "11011111011111"),
+    (2, 3, 3): (11, "10101010101"),
 }
 
 
@@ -138,8 +142,8 @@ def test_criterion_4_longer_tuples():
         assert recheck.witness == report.witness_word
         found[sizes] = (report.max_lss, format_word(BINARY, report.witness_word))
     _report(
-        "4 (2,2,2), (2,2,2,2), (2,)*6, (2,2,2,3), (2,2,2,2,3), (2,2,4), (4,2,2) and (2,2,2,4) "
-        "reach lss 4, 5, 5, 8, 9, 11, 11 and 14, not 7, 15, 63, 23, 47, 15, 15 and 31",
+        "4 (2,2,2), (2,2,2,2), (2,)*6, (2,2,2,3), (2,2,2,2,3), (2,2,4), (4,2,2), (2,2,2,4) and (2,3,3) "
+        "reach lss 4, 5, 5, 8, 9, 11, 11, 14 and 11, not 7, 15, 63, 23, 47, 15, 15, 31 and 17",
         found == FOLDED_MAX_LSS,
     )
 

@@ -223,9 +223,10 @@ def test_search_3_4_structured_digest(capsys):
 
 
 def test_search_csv_unsupported(capsys):
-    code, _, err = run_cli(capsys, "search", "--sizes", "2,2", "--format", "csv")
-    assert code == 2
-    assert "csv" in err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["search", "--sizes", "2,2", "--format", "csv"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 def test_search_rejects_bad_sizes(capsys):
@@ -285,10 +286,12 @@ def pair_files(tmp_path):
 
 def test_lss_csv_unsupported(capsys, pair_files):
     a, b = pair_files
-    code, out, err = run_cli(capsys, "lss", "--dfa", str(a), "--dfa", str(b), "--format", "csv")
-    assert code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["lss", "--dfa", str(a), "--dfa", str(b), "--format", "csv"])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
     assert out == ""
-    assert "csv output is only available" in err
+    assert "invalid choice: 'csv'" in err
 
 
 def test_lss_pair(capsys, pair_files):

@@ -488,6 +488,44 @@ def test_fold_stops_before_a_step_over_the_cap(monkeypatch):
     assert calls == [(1, 1)]
 
 
+@pytest.mark.parametrize("states, alphabet", ORACLE_CASES + [pytest.param(None, BINARY, id="full")])
+def test_column_masks_oracle(states, alphabet):
+    # Bit i of a mask stands for language i, set one language at a time.
+    if states is None:
+        languages = (_full_language(),)
+    else:
+        languages = tuple(d for d in canonical_languages(states, alphabet) if d.accepting)
+    top = max(d.state_count for d in languages)
+    expected_moves = [[[0] * top for _ in alphabet] for _ in range(top)]
+    expected_accepts = [0] * top
+    for i, d in enumerate(languages):
+        for l, row in enumerate(d.delta):
+            for a, l2 in enumerate(row):
+                expected_moves[l][a][l2] |= 1 << i
+        for l in d.accepting:
+            expected_accepts[l] |= 1 << i
+    moves, accepts = enumeration._column_masks(languages)
+    assert accepts == expected_accepts
+    assert moves == [
+        [[(l2, mask) for l2, mask in enumerate(targets) if mask] for targets in by_symbol]
+        for by_symbol in expected_moves
+    ]
+
+
+def test_mask_column_is_the_language_list(monkeypatch):
+    # (2,3): the 3-state list is the mask column, passed as is, not wrapped.
+    seen, real = [], enumeration._column_masks
+
+    def recording(languages):
+        seen.append(languages)
+        return real(languages)
+
+    monkeypatch.setattr(enumeration, "_column_masks", recording)
+    tightness_search([2, 3])
+    (languages,) = seen
+    assert tuple(languages) == tuple(d for d in canonical_languages(3) if d.accepting)
+
+
 def test_search_refuses_over_64_components(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("languages enumerated despite the component limit")
