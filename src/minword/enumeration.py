@@ -299,8 +299,8 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     tie, used as is: bit i of a mask stands for its language i.  With no
     size above 1 it is the full language alone.  Every other list becomes a
     column of (key, dfa) entries in key order, language i under key (i,).
-    Every meet, of a fold pair or of a row, is one minimize call on its
-    languages.
+    Every meet, of a fold pair or of a row of several columns, is one
+    minimize call on its languages; a row of one column is its one entry.
 
     A tuple's lss depends only on its intersection language, so while more
     than one other column remains and the first two meet at most
@@ -391,7 +391,10 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     best_lss, best_key = -1, ()
     for row in itertools.product(*columns):
         keys, dfas = zip(*row)
-        lss, resolved = _row_pass(minimize(*dfas), moves, accepts, everything)
+        # A row of one column is minimal already: a canonical language, a
+        # fold class or the full language.
+        meet = minimize(*dfas) if len(dfas) > 1 else dfas[0]
+        lss, resolved = _row_pass(meet, moves, accepts, everything)
         if lss < best_lss or not resolved:
             continue
         row_key = tuple(itertools.chain.from_iterable(keys))

@@ -113,6 +113,36 @@ def reachable_states(dfa: Dfa) -> frozenset[int]:
     return frozenset(seen)
 
 
+def moore_blocks(rows: Sequence[Sequence[int]], accepting: Sequence[bool]) -> tuple[list[int], int]:
+    """Moore refinement of states 0..len(rows)-1: (block of each state, block count).
+
+    rows[q] lists the successors of q in alphabet order and accepting[q]
+    says whether q accepts.  Accepting states are split from rejecting ones,
+    then states are re-partitioned by (own block, blocks of successors) until
+    the partition stops growing.  Block ids are assigned by first occurrence
+    in state order.  Two states share a block exactly when they accept the
+    same words, so every state is apart exactly when the count is len(rows).
+    """
+    # First-occurrence ids stay dense even when one side of the split is empty.
+    seen: dict[bool, int] = {}
+    block = [seen.setdefault(flag, len(seen)) for flag in accepting]
+    n_blocks = len(seen)
+    # A partition into single states cannot be refined further.
+    while n_blocks < len(rows):
+        sigs: dict[tuple[int, ...], int] = {}
+        refined = [
+            sigs.setdefault((b, *[block[t] for t in row]), len(sigs))
+            for b, row in zip(block, rows)
+        ]
+        # The new partition refines the old one; with as many blocks it is the
+        # same partition, numbered the same way.
+        if len(sigs) == n_blocks:
+            break
+        block = refined
+        n_blocks = len(sigs)
+    return block, n_blocks
+
+
 def minimize_two_pass(dfa: Dfa) -> Dfa:
     """Minimal complete DFA for the same language, canonically numbered.
 

@@ -20,9 +20,8 @@ from minword import (
     validate,
 )
 from minword import enumeration
-from minword.minimize import moore_blocks
 
-from helpers import bfs_numbering, minimize_two_pass, raw_dfas, scan_oracle
+from helpers import bfs_numbering, minimize_two_pass, moore_blocks, raw_dfas, scan_oracle
 
 
 TERNARY = Alphabet(("a", "b", "c"))
@@ -141,16 +140,16 @@ def test_apart_sets_agree_with_moore_refinement(states, alphabet, accessible):
 
 
 def test_build_runs_no_refinement(monkeypatch):
-    # The build decides apartness for whole tables, so neither Moore
+    # The build decides apartness for whole tables, so neither the
     # refinement nor minimize is called while the languages are made.
     def refuse(*args):
         raise AssertionError("the language build refined a candidate")
 
     minimize_module = importlib.import_module("minword.minimize")
-    monkeypatch.setattr(minimize_module, "moore_blocks", refuse)
+    monkeypatch.setattr(minimize_module, "refine_blocks", refuse)
     monkeypatch.setattr(minimize_module, "minimize", refuse)
     monkeypatch.setattr(enumeration, "minimize", refuse)
-    monkeypatch.setattr(enumeration, "moore_blocks", refuse, raising=False)
+    monkeypatch.setattr(enumeration, "refine_blocks", refuse, raising=False)
     canonical_languages.cache_clear()
     assert [sum(d.state_count == k for d in canonical_languages(3)) for k in (1, 2, 3)] == [2, 24, 1028]
 
@@ -364,50 +363,60 @@ def test_fold_equals_scan_oracle(sizes, alphabet):
 
 
 def _count_fold_meets(monkeypatch):
-    # Every meet is a minimize call; each row makes one just before its row
-    # pass, which takes it off again, so what stays are the fold's meets.
-    calls, real_minimize, real_pass = [], enumeration.minimize, enumeration._row_pass
+    # (fold meets, rows): every meet is a minimize call, every row a _row_pass.
+    # A row of several columns passes the meet made just before it, which
+    # its pass takes off again, so what stays are the fold's meets; a row of
+    # one column passes its entry and makes none.
+    calls, rows, made = [], [], [None]
+    real_minimize, real_pass = enumeration.minimize, enumeration._row_pass
 
     def counting_minimize(*dfas):
         calls.append(tuple(d.state_count for d in dfas))
-        return real_minimize(*dfas)
+        made[0] = real_minimize(*dfas)
+        return made[0]
 
-    def row_pass(*args):
-        calls.pop()
-        return real_pass(*args)
+    def row_pass(row, *args):
+        rows.append(row)
+        if row is made[0]:
+            calls.pop()
+        made[0] = None
+        return real_pass(row, *args)
 
     monkeypatch.setattr(enumeration, "minimize", counting_minimize)
     monkeypatch.setattr(enumeration, "_row_pass", row_pass)
-    return calls
+    return calls, rows
 
 
 # (2,2,2) has 25 nonempty languages per size.  The first fold step meets
 # 25 * 25 pairs, so it runs only under a cap of at least 625.  Each pair is
-# one meet, the 49 that hold the full language (25 + 25 - 1) too.
+# one meet, the 49 that hold the full language (25 + 25 - 1) too, and the
+# 135 classes it keeps are the rows; without it the 625 pairs are.
 @pytest.mark.parametrize("cap, meets", [(0, 0), (624, 0), (625, 625)])
 def test_fold_cap_walks_the_rest(monkeypatch, cap, meets):
-    calls = _count_fold_meets(monkeypatch)
+    calls, rows = _count_fold_meets(monkeypatch)
     monkeypatch.setattr(enumeration, "MAX_FOLD_PRODUCTS", cap)
     report = tightness_search([2, 2, 2])
-    assert len(calls) == meets
+    assert (len(calls), len(rows)) == (meets, 135 if meets else 625)
     lists = [[d for d in canonical_languages(2) if d.accepting]] * 3
     assert (report.max_lss, report.witness_dfas, report.witness_word) == scan_oracle(lists)
 
 
 def test_size_one_component_makes_no_product(monkeypatch):
     # A size-1 component has no column, so (2,2,1,2) folds like (2,2,2):
-    # 625 pairs, one meet each, the 49 that hold the full language too.
-    calls = _count_fold_meets(monkeypatch)
+    # 625 pairs, one meet each, the 49 that hold the full language too, and
+    # 135 rows, one per class.
+    calls, rows = _count_fold_meets(monkeypatch)
     report = tightness_search([2, 2, 1, 2])
-    assert len(calls) == 625
+    assert (len(calls), len(rows)) == (625, 135)
     lists = [[d for d in canonical_languages(s) if d.accepting] for s in (2, 2, 1, 2)]
     assert (report.max_lss, report.witness_dfas, report.witness_word) == scan_oracle(lists)
 
 
 def test_every_walk_is_a_meet_or_the_witness(monkeypatch):
-    # (2,2,2) meets 625 fold pairs and 135 rows, one minimize call and one
-    # walk each; the only other walk spells the witness word.
-    walks, meets = [], _row_widths(monkeypatch)
+    # (2,2,2) meets 625 fold pairs, one minimize call and one walk each, and
+    # passes its 135 classes as rows with no meet; the only other walk
+    # spells the witness word.
+    walks, meets, rows = [], _meet_widths(monkeypatch), _passed_rows(monkeypatch)
     for name in ("minword.product", "minword.minimize", "minword.shortest"):
         module = importlib.import_module(name)
         real = module.walk
@@ -418,7 +427,7 @@ def test_every_walk_is_a_meet_or_the_witness(monkeypatch):
 
         monkeypatch.setattr(module, "walk", counting_walk)
     tightness_search([2, 2, 2])
-    assert (len(walks), len(meets)) == (761, 760)
+    assert (len(walks), len(meets), len(rows)) == (626, 625, 135)
     assert walks.count(True) == 1
 
 
@@ -438,8 +447,8 @@ def _full_language():
     return next(d for d in canonical_languages(1) if d.accepting)
 
 
-def _row_widths(monkeypatch):
-    # The arity of every meet; in searches that make no fold, those are the rows.
+def _meet_widths(monkeypatch):
+    # The arity of every meet.
     widths, real = [], enumeration.minimize
 
     def counting_minimize(*components):
@@ -450,15 +459,29 @@ def _row_widths(monkeypatch):
     return widths
 
 
+def _passed_rows(monkeypatch):
+    # The DFA of every row pass, in order.
+    rows, real = [], enumeration._row_pass
+
+    def recording_pass(row, *args):
+        rows.append(row)
+        return real(row, *args)
+
+    monkeypatch.setattr(enumeration, "_row_pass", recording_pass)
+    return rows
+
+
 def test_size_one_components_take_no_part(monkeypatch):
-    # (3,3,1) passes the same rows as (3,3): one 3-state language each,
-    # against the mask of the other 3.
-    widths = _row_widths(monkeypatch)
+    # (3,3,1) passes the same rows as (3,3): the nonempty 3-state languages
+    # as they are, against the mask of the other 3, with no meet, up to the
+    # 408th, the first to reach the target 8.
+    meets, passed = _meet_widths(monkeypatch), _passed_rows(monkeypatch)
     report = tightness_search([3, 3, 1])
-    rows = list(widths)
-    widths.clear()
+    rows = list(passed)
+    passed.clear()
     pair = tightness_search([3, 3])
-    assert rows and rows == widths and set(rows) == {1}
+    assert rows == passed == [d for d in canonical_languages(3) if d.accepting][:408]
+    assert pair.attained and not meets
     assert report.witness_dfas == pair.witness_dfas + (_full_language(),)
     assert (report.target, report.max_lss, report.witness_word, report.attained, report.tuples_examined) == (
         pair.target,
@@ -480,7 +503,7 @@ def test_fold_stops_before_a_step_over_the_cap(monkeypatch):
     def refuse(*args):
         raise Passed
 
-    calls = _count_fold_meets(monkeypatch)
+    calls, _ = _count_fold_meets(monkeypatch)
     monkeypatch.setattr(enumeration, "_row_pass", refuse)
     assert 1053 * 1053 > enumeration.MAX_FOLD_PRODUCTS
     with pytest.raises(Passed):

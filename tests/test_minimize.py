@@ -18,8 +18,9 @@ from minword import (
     state_complexity,
     unary_residue_dfa,
 )
+from minword.minimize import refine_blocks
 
-from helpers import all_words, bfs_numbering, dfas, minimize_two_pass, raw_dfas, reachable_states
+from helpers import all_words, bfs_numbering, dfas, minimize_two_pass, moore_blocks, raw_dfas, reachable_states
 
 
 def test_minimize_single_state():
@@ -170,3 +171,53 @@ def test_minimize_meet_requires_same_alphabet():
 def test_minimize_needs_a_component():
     with pytest.raises(ValueError):
         minimize()
+
+
+@st.composite
+def tables(draw):
+    # Successor rows of 1-12 states over 1-3 letters and acceptance flags;
+    # nothing makes the states reachable from state 0, so unreachable ones
+    # are common.
+    width = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    rows = [[draw(st.integers(0, n - 1)) for _ in range(width)] for _ in range(n)]
+    return rows, [draw(st.booleans()) for _ in range(n)]
+
+
+@given(table=tables())
+@settings(max_examples=300, deadline=None)
+def test_refine_blocks_equals_moore_refinement(table):
+    # The slow path checks the fast one: the same blocks, numbered the same.
+    rows, accepting = table
+    assert refine_blocks(rows, accepting) == moore_blocks(rows, accepting)
+
+
+@pytest.mark.parametrize("flag", [False, True])
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_refine_blocks_one_sided_split(flag, width):
+    rows = [[(q + a + 1) % 5 for a in range(width)] for q in range(5)]
+    assert refine_blocks(rows, [flag] * 5) == moore_blocks(rows, [flag] * 5) == ([0] * 5, 1)
+
+
+def test_refine_blocks_no_states():
+    assert refine_blocks([], []) == moore_blocks([], []) == ([], 0)
+
+
+@pytest.mark.parametrize("period", [1, 3, 5, 9, 15, 45])
+def test_refine_blocks_merges_a_periodic_cycle(period):
+    # A 45-state cycle accepting every period-th state folds into period
+    # blocks: deep merges, where the chains below split every state apart.
+    rows = [[(q + 1) % 45, q] for q in range(45)]
+    accepting = [q % period == period - 1 for q in range(45)]
+    assert refine_blocks(rows, accepting) == moore_blocks(rows, accepting)
+    assert refine_blocks(rows, accepting)[1] == period
+
+
+@pytest.mark.parametrize("dfa", [ramp_cycle_dfa(m, 45) for m in range(1, 46)] + [ones_mod_dfa(45)])
+def test_refine_blocks_on_deep_chains(dfa):
+    # The pair witnesses of verify --max-n 45: chains whose states are told
+    # apart only at distance up to 45.
+    accepting = [q in dfa.accepting for q in range(dfa.state_count)]
+    assert refine_blocks(dfa.delta, accepting) == moore_blocks(dfa.delta, accepting)
+    assert minimize(dfa) == minimize_two_pass(dfa)
+    assert minimize(dfa).state_count == 45
