@@ -28,7 +28,9 @@ from .reports import WitnessReport, build_witness_report, verify_range
 from .shortest import intersection_lss
 
 SCHEMA_VERSION = 1
-# Product walks hold about 250 bytes per state, so this caps a walk near 1 GB.
+# A stopping walk peaks at about 115 bytes per state and product() at about
+# 185 (tracemalloc, two components over 3 letters), so this caps a walk
+# under 0.8 GB.
 MAX_WALK_STATES = 1 << 22
 
 _WITNESS_COLUMNS = [f.name for f in dataclasses.fields(WitnessReport)]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import accepts, format_word
+from .automaton import Dfa, accepts, format_word
 from .constructions import closed_form_witness, ones_mod_dfa, ramp_cycle_dfa
 from .minimize import state_complexity
 from .shortest import intersection_lss
@@ -34,13 +34,18 @@ class WitnessReport:
 def build_witness_report(m: int, n: int) -> WitnessReport:
     """Verify the (m, n) pair end to end; requires m <= n."""
     ones = ones_mod_dfa(m)
+    return _witness_report(ones, state_complexity(ones), m, n)
+
+
+def _witness_report(ones: Dfa, sc_ones: int, m: int, n: int) -> WitnessReport:
+    """build_witness_report(m, n), given ones_mod_dfa(m) and its state complexity."""
     ramp = ramp_cycle_dfa(m, n)
     expected = m * n - 1
     result = intersection_lss([ones, ramp])
     assert result is not None, "constructed intersection is never empty"
     formula = closed_form_witness(m, n)
     formula_ok = accepts(ones, formula) and accepts(ramp, formula)
-    sc_ones, sc_ramp = state_complexity(ones), state_complexity(ramp)
+    sc_ramp = state_complexity(ramp)
     return WitnessReport(
         m=m,
         n=n,
@@ -65,8 +70,10 @@ def verify_range(max_n: int) -> list[WitnessReport]:
     """Witness reports for every pair 1 <= m <= n <= max_n, in (m, n) order."""
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
-    return [
-        build_witness_report(m, n)
-        for m in range(1, max_n + 1)
-        for n in range(m, max_n + 1)
-    ]
+    reports = []
+    for m in range(1, max_n + 1):
+        # One ones_mod_dfa(m) and one state complexity serve every n.
+        ones = ones_mod_dfa(m)
+        sc_ones = state_complexity(ones)
+        reports.extend(_witness_report(ones, sc_ones, m, n) for n in range(m, max_n + 1))
+    return reports

@@ -34,7 +34,7 @@ def intersection_lss(components: Sequence[Dfa]) -> LssResult | None:
     Equals shortest_accepted(product(components).dfa), but stops the product
     walk at the first all-accepting tuple instead of building the product.
     """
-    shared_alphabet(components)
+    width = len(shared_alphabet(components))
     if not all(d.accepting for d in components):
         return None
     found = walk(components, stop=True)
@@ -43,7 +43,7 @@ def intersection_lss(components: Sequence[Dfa]) -> LssResult | None:
     symbols: list[int] = []
     state = found.accepting[0]
     while state:
-        state, sym = found.parents[state]
+        state, sym = divmod(found.parents[state], width)
         symbols.append(sym)
     symbols.reverse()
     return LssResult(len(symbols), tuple(symbols))

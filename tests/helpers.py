@@ -8,8 +8,9 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import contains, getitem
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from hypothesis import strategies as st
 
@@ -141,6 +142,55 @@ def moore_blocks(rows: Sequence[Sequence[int]], accepting: Sequence[bool]) -> tu
         block = refined
         n_blocks = len(sigs)
     return block, n_blocks
+
+
+class TupleWalk(NamedTuple):
+    """tuple_walk's result: product states in discovery order (the start is 0)."""
+
+    tags: list[tuple[int, ...]]  # component state tuple of each state
+    parents: list[tuple[int, int]]  # (parent index, symbol) that found each state; stopping walks only
+    rows: list[tuple[int, ...]]  # transition row of each state; full walks only
+    accepting: list[int]  # all-accepting states, in discovery order
+
+
+def tuple_walk(components: Sequence[Dfa], stop: bool = False) -> TupleWalk:
+    """Breadth-first walk of the product reachable from the initial tuple.
+
+    An oracle for product.walk() that keys every state by its tuple of
+    component states.  Symbols are explored in alphabet order and states
+    numbered in discovery order; with stop, the walk ends at the first
+    all-accepting tuple, whose parent links spell the shortlex-least
+    accepted word.
+    """
+    deltas = [d.delta for d in components]
+    acceptings = [d.accepting for d in components]
+    start = tuple([d.initial for d in components])
+    ids = {start: 0}
+    tags = [start]
+    parents = [(-1, -1)]
+    rows: list[tuple[int, ...]] = []
+    accepting = [0] if all(map(contains, acceptings, start)) else []
+    if stop and accepting:
+        return TupleWalk(tags, parents, rows, accepting)
+    # tags grows while it is iterated: it is the BFS queue as well.
+    for current_idx, current in enumerate(tags):
+        row: list[int] = []
+        # zip of the components' current rows yields one target tuple per symbol.
+        for sym, target in enumerate(zip(*map(getitem, deltas, current))):
+            idx = ids.get(target)
+            if idx is None:
+                idx = ids[target] = len(tags)
+                tags.append(target)
+                if stop:
+                    parents.append((current_idx, sym))
+                if all(map(contains, acceptings, target)):
+                    accepting.append(idx)
+                    if stop:
+                        return TupleWalk(tags, parents, rows, accepting)
+            row.append(idx)
+        if not stop:
+            rows.append(tuple(row))
+    return TupleWalk(tags, parents, rows, accepting)
 
 
 def minimize_two_pass(dfa: Dfa) -> Dfa:

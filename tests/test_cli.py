@@ -161,6 +161,17 @@ def test_verify_structured_deterministic(capsys):
     assert first == second
 
 
+def test_verify_20_structured_digest(capsys):
+    # Frozen from the tuple-keyed product walk: the witness words of all 210
+    # pairs, spelled back from the walk's parent links.
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "20", "--format", "structured")
+    doc = json.loads(out)
+    assert (code, doc["all_passed"], len(doc["rows"])) == (0, True, 210)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "363823ee5a7f1d09e337e8b017593ce99e7c8907268a471624196cf4324d519f"
+    )
+
+
 def test_verify_full_range(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "30", "--format", "csv")
     assert code == 0

@@ -1,8 +1,11 @@
+import importlib
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from minword import (
     AlphabetMismatchError,
+    Alphabet,
     BINARY,
     Dfa,
     accepts,
@@ -14,7 +17,12 @@ from minword import (
     unary_residue_dfa,
 )
 
-from helpers import all_words, dfas, reachable_states
+from minword.product import walk
+
+from helpers import all_words, dfas, reachable_states, tuple_walk
+
+# The package exports the product() function under the module's name.
+product_module = importlib.import_module("minword.product")
 
 
 def test_single_component_is_identity():
@@ -88,3 +96,96 @@ def test_product_of_disjoint_parity_languages_is_empty():
     even = Dfa(2, BINARY, 0, frozenset({0}), ((1, 1), (0, 0)))
     dfa = product([odd, even]).dfa
     assert not dfa.accepting
+
+
+def _code(tag, components):
+    """Mixed-radix code of a component state tuple, first component most significant."""
+    code = 0
+    for q, d in zip(tag, components):
+        code = code * d.state_count + q
+    return code
+
+
+@st.composite
+def component_lists(draw):
+    """1 to 4 components of 1 to 4 states over one alphabet of 1 to 3 letters, any initial states."""
+    alphabet = Alphabet(("a", "b", "c")[: draw(st.integers(1, 3))])
+    return draw(st.lists(dfas(max_states=4, alphabet=alphabet), min_size=1, max_size=4))
+
+
+@given(components=component_lists(), stop=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_walk_equals_tuple_walk(components, stop):
+    found, oracle = walk(components, stop), tuple_walk(components, stop)
+    assert found.codes == [_code(tag, components) for tag in oracle.tags]
+    assert found.rows == oracle.rows
+    assert found.accepting == oracle.accepting
+    if stop and found.accepting:
+        width = len(components[0].alphabet)
+        spelled, expected = [], []
+        state = found.accepting[0]
+        while state:
+            state, sym = divmod(found.parents[state], width)
+            spelled.append(sym)
+        state = oracle.accepting[0]
+        while state:
+            state, sym = oracle.parents[state]
+            expected.append(sym)
+        assert spelled == expected
+    if not stop:
+        assert product(components).tags == tuple(oracle.tags)
+
+
+def _recorded_memos(monkeypatch):
+    """Patch product's memo table to record each one a walk makes."""
+    made = []
+
+    class Recording(product_module._Memo):
+        def __init__(self, make):
+            super().__init__(make)
+            made.append(self)
+
+    monkeypatch.setattr(product_module, "_Memo", Recording)
+    return made
+
+
+def _ring(states, initial, accepting):
+    """Symbol 0 steps q to q + 1 mod states, symbol 1 to q + 2 mod states."""
+    delta = tuple(((q + 1) % states, (q + 2) % states) for q in range(states))
+    return Dfa(states, BINARY, initial, frozenset(accepting), delta)
+
+
+@pytest.mark.parametrize(
+    "depth, components",
+    [
+        (0, [_ring(3, 1, {1}), _ring(5, 4, {4}), _ring(5, 2, {2})]),
+        (1, [_ring(3, 1, {0}), _ring(5, 4, {1}), _ring(5, 2, {4})]),
+    ],
+)
+def test_stopping_walk_fills_the_tail_memo_only_where_it_goes(monkeypatch, depth, components):
+    # The tail (second and third components) has 5 * 5 = 25 states.  A walk
+    # stopping at depth 0 asks for the start's acceptance and no row.  One
+    # stopping at depth 1, on the second of the start's two successors,
+    # expands only the start.  Tail acceptance is asked only of states whose
+    # first component accepts, so of at most the states found.
+    made = _recorded_memos(monkeypatch)
+    found = walk(components, stop=True)
+    assert found.accepting == [len(found.codes) - 1] == [2 * depth]
+    tails = [code % 25 for code in found.codes]
+    rows, accepts = made
+    assert set(rows) == set(tails[:depth])
+    assert tails[-1] in accepts
+    assert set(accepts) <= set(tails)
+
+
+def test_full_walk_fills_the_tail_memo_with_reachable_tails_only(monkeypatch):
+    # The two 5-state rings step in lockstep, so the walk reaches 5 of their
+    # 25 tail states.
+    components = [_ring(3, 0, {0}), _ring(5, 0, {0}), _ring(5, 0, set())]
+    made = _recorded_memos(monkeypatch)
+    found = walk(components)
+    rows, accepts = made
+    tails = {code % 25 for code in found.codes}
+    assert set(rows) == tails
+    assert set(accepts) <= tails
+    assert len(tails) == 5
