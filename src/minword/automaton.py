@@ -7,8 +7,7 @@ Lexicographic order on words is induced by the alphabet's symbol order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[int, ...]
 
@@ -21,25 +20,51 @@ class AlphabetMismatchError(ValueError):
     """An operation received automata over different alphabets."""
 
 
-@dataclass(frozen=True)
 class Alphabet:
-    """Ordered, duplicate-free symbol labels; a symbol's index is its position."""
+    """Ordered, duplicate-free symbol labels; a symbol's index is its position.
+
+    Immutable and hashable; two alphabets are equal when their labels are.
+    """
+
+    __slots__ = ("symbols",)
 
     symbols: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if not self.symbols:
+    def __init__(self, symbols: Iterable[str]) -> None:
+        symbols = tuple(symbols)
+        if not symbols:
             raise ValueError("alphabet must be nonempty")
-        for label in self.symbols:
+        for label in symbols:
             if not isinstance(label, str) or not label:
                 raise ValueError(f"alphabet label {label!r} must be a nonempty string")
             try:
                 label.encode("utf-8")
             except UnicodeEncodeError:
                 raise ValueError(f"alphabet label {label!r} is not encodable as UTF-8") from None
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet labels must be distinct")
+        object.__setattr__(self, "symbols", symbols)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an Alphabet")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an Alphabet")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since __setattr__ refuses.
+        return Alphabet, (self.symbols,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Alphabet:
+            return NotImplemented
+        return self.symbols == other.symbols
+
+    def __hash__(self) -> int:
+        return hash(self.symbols)
+
+    def __repr__(self) -> str:
+        return f"Alphabet(symbols={self.symbols!r})"
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -55,15 +80,18 @@ BINARY = Alphabet(("0", "1"))
 UNARY = Alphabet(("0",))
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(NamedTuple):
     """A complete DFA: total transition table, one initial state, accepting set.
 
-    Instances are immutable and hashable, so canonical forms can be deduped
-    with ordinary dict/set machinery.  Construction neither validates nor
-    converts: callers pass a frozenset and a tuple of tuples, and
-    :func:`minword.interchange.from_document` does that for outside input.
-    Call :func:`validate` to check the structural invariants.
+    A Dfa is a named tuple of its five fields, so instances are immutable and
+    hashable, and canonical forms can be deduped with ordinary dict/set
+    machinery.  Use ``dfa._replace(...)`` and ``dfa._asdict()`` to derive or
+    unpack one (``dataclasses.replace`` and ``asdict`` do not apply), and
+    note that a Dfa compares equal to the plain tuple of its fields.
+    Construction neither validates nor converts: callers pass a frozenset and
+    a tuple of tuples, and :func:`minword.interchange.from_document` does
+    that for outside input.  Call :func:`validate` to check the structural
+    invariants.
     """
 
     state_count: int

@@ -8,13 +8,10 @@ intersection), 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import io
 import json
 import signal
 import sys
-from datetime import datetime, timezone
 from math import prod
 from pathlib import Path
 
@@ -33,8 +30,6 @@ SCHEMA_VERSION = 1
 # under 0.8 GB.
 MAX_WALK_STATES = 1 << 22
 
-_WITNESS_COLUMNS = [f.name for f in dataclasses.fields(WitnessReport)]
-
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -45,6 +40,8 @@ def _fmt(value) -> str:
 def _emit_json(command: str, fields: dict, args) -> None:
     doc = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
     if args.timestamp:
+        from datetime import datetime, timezone
+
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     print(json.dumps(doc, indent=2))
 
@@ -62,12 +59,15 @@ def _emit_text(fields: dict) -> None:
             print(f"{key}: {_fmt(value)}")
 
 
-def _emit_csv(rows: list[dict], columns: list[str]) -> None:
+def _emit_csv(reports: list[WitnessReport]) -> None:
+    """A header of the WitnessReport fields, then one row per report."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row[col]) for col in columns])
+    writer.writerow(WitnessReport._fields)
+    for report in reports:
+        writer.writerow(map(_fmt, report))
     sys.stdout.write(buf.getvalue())
 
 
@@ -110,11 +110,11 @@ def cmd_witness(args) -> int:
         directory.mkdir(parents=True, exist_ok=True)
         for name in ("ones", "ramp", "product"):
             (directory / f"{name}.dot").write_text(_construction_dot(name, m, n), encoding="utf-8")
-    row = dataclasses.asdict(report)
+    row = report._asdict()
     if args.format == "structured":
         _emit_json("witness", row, args)
     elif args.format == "csv":
-        _emit_csv([row], _WITNESS_COLUMNS)
+        _emit_csv([report])
     else:
         _emit_text(row)
     return 0 if report.passed else 1
@@ -133,13 +133,13 @@ def cmd_verify(args) -> int:
             "verify",
             {
                 "max_n": args.max_n,
-                "rows": [dataclasses.asdict(r) for r in rows],
+                "rows": [r._asdict() for r in rows],
                 "all_passed": all_passed,
             },
             args,
         )
     elif args.format == "csv":
-        _emit_csv([dataclasses.asdict(r) for r in rows], _WITNESS_COLUMNS)
+        _emit_csv(rows)
     else:
         header = f"{'m':>3} {'n':>3} {'expected':>9} {'lss':>9} {'sc_ones':>7} {'sc_ramp':>7} {'formula_ok':>10} {'passed':>6}"
         print(header)

@@ -20,11 +20,10 @@ the row's intersection with every language of the column at once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .automaton import Alphabet, BINARY, Dfa, Word
 from .minimize import minimize
@@ -191,8 +190,7 @@ def _canonical_languages(states: int, alphabet: Alphabet) -> tuple[Dfa, ...]:
 canonical_languages.cache_clear = _canonical_languages.cache_clear  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     """Outcome of an exhaustive tuple search over canonical languages."""
 
     sizes: tuple[int, ...]

@@ -23,7 +23,6 @@ back into tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from operator import add
 from typing import Callable, NamedTuple, Sequence
@@ -31,8 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 from .automaton import Alphabet, AlphabetMismatchError, Dfa
 
 
-@dataclass(frozen=True)
-class ProductResult:
+class ProductResult(NamedTuple):
     """Product DFA plus the map from product state to component state tuple."""
 
     dfa: Dfa

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automaton import Dfa, accepts, format_word
 from .constructions import closed_form_witness, ones_mod_dfa, ramp_cycle_dfa
@@ -10,8 +10,7 @@ from .minimize import state_complexity
 from .shortest import intersection_lss
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """One verified (m, n) instance of the mn-1 intersection bound.
 
     passed holds iff the computed lss equals mn-1, the closed-form word is

@@ -8,15 +8,13 @@ discovered yields the canonical witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .automaton import Dfa, Word
 from .product import shared_alphabet, walk
 
 
-@dataclass(frozen=True)
-class LssResult:
+class LssResult(NamedTuple):
     """Length and canonical witness of the shortest accepted word."""
 
     length: int

@@ -1,3 +1,4 @@
+import pickle
 from random import Random
 
 import pytest
@@ -10,6 +11,7 @@ from minword import (
     Dfa,
     InvalidDfaError,
     accepts,
+    build_witness_report,
     canonical_languages,
     enumerate_dfas,
     format_word,
@@ -20,6 +22,8 @@ from minword import (
     product,
     ramp_cycle_dfa,
     run,
+    shortest_accepted,
+    tightness_search,
     unary_residue_dfa,
     validate,
 )
@@ -28,12 +32,16 @@ from helpers import all_words, binary_words, dfas, random_dfa, reachable_states
 
 
 def test_alphabet_rejects_empty_and_duplicates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty"):
         Alphabet(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="distinct"):
         Alphabet(("a", "a"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty string"):
         Alphabet(("a", ""))
+    with pytest.raises(ValueError, match="nonempty string"):
+        Alphabet(("a", 1))
+    with pytest.raises(ValueError, match="UTF-8"):
+        Alphabet(("a", "\ud800"))
 
 
 def test_alphabet_order_and_index():
@@ -176,7 +184,43 @@ def test_parse_word_ambiguous():
 
 def test_dfa_is_hashable():
     d = Dfa(2, BINARY, 0, frozenset({1}), ((0, 1), (1, 0)))
-    assert hash(d) == hash(Dfa(2, BINARY, 0, frozenset({1}), ((0, 1), (1, 0))))
+    twin = Dfa(2, Alphabet(["0", "1"]), 0, frozenset([1]), ((0, 1), (1, 0)))
+    assert d == twin and hash(d) == hash(twin)
+    assert d != d._replace(initial=1)
+    assert d != Dfa(2, Alphabet(("0", "2")), 0, frozenset({1}), ((0, 1), (1, 0)))
+    # A Dfa is a named tuple, so it equals the plain tuple of its fields.
+    assert d == (2, BINARY, 0, frozenset({1}), ((0, 1), (1, 0)))
+
+
+def test_dfa_repr_names_fields():
+    d = Dfa(2, Alphabet(("a", "b")), 0, frozenset({1}), ((0, 1), (1, 0)))
+    assert repr(d) == (
+        "Dfa(state_count=2, alphabet=Alphabet(symbols=('a', 'b')), initial=0, "
+        "accepting=frozenset({1}), delta=((0, 1), (1, 0)))"
+    )
+
+
+RECORDS = {
+    "Dfa": (lambda: ones_mod_dfa(2), "initial"),
+    "Alphabet": (lambda: Alphabet(("a", "b")), "symbols"),
+    "LssResult": (lambda: shortest_accepted(ones_mod_dfa(2)), "length"),
+    "ProductResult": (lambda: product([ones_mod_dfa(2), ramp_cycle_dfa(2, 3)]), "tags"),
+    "WitnessReport": (lambda: build_witness_report(2, 3), "passed"),
+    "SearchReport": (lambda: tightness_search([2]), "max_lss"),
+}
+
+
+@pytest.mark.parametrize("build, field", RECORDS.values(), ids=RECORDS.keys())
+def test_records_are_immutable_values(build, field):
+    record = build()
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, before)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is before
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and hash(copy) == hash(record)
 
 
 # Dfa converts nothing, so every builder must hand it a frozenset and tuples.

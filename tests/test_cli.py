@@ -7,7 +7,17 @@ import sys
 
 import pytest
 
-from minword import BINARY, Dfa, load_path, ones_mod_dfa, ramp_cycle_dfa, save_path, to_dot, unary_residue_dfa
+from minword import (
+    BINARY,
+    Dfa,
+    WitnessReport,
+    load_path,
+    ones_mod_dfa,
+    ramp_cycle_dfa,
+    save_path,
+    to_dot,
+    unary_residue_dfa,
+)
 from minword import cli, enumeration, reports
 from minword.cli import build_parser, main
 
@@ -78,7 +88,8 @@ def test_witness_csv(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 2
-    assert lines[0].startswith("m,n,expected,lss,witness")
+    assert lines[0] == "m,n,expected,lss,witness,formula_word,formula_word_accepted,sc_ones,sc_ramp,passed"
+    assert lines[0].split(",") == list(WitnessReport._fields)
     assert lines[1].startswith("2,3,5,5,10010")
 
 

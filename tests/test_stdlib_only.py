@@ -53,3 +53,24 @@ def test_cli_import_loads_no_process_machinery():
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=src_env(), check=True)
     assert out.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_record_or_output_machinery():
+    # The records are named tuples, and csv and datetime load only when
+    # --format csv or --timestamp asks for them.
+    probe = (
+        "import sys, minword.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'csv', 'datetime') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=src_env(), check=True)
+    assert out.stdout == "[]\n"
+
+
+def test_package_import_loads_every_library_module():
+    # Tracing patches the functions of the loaded minword modules, so the
+    # package imports each of them eagerly; cli is the entry point and is
+    # imported on its own.
+    expected = sorted(f"minword.{p.stem}" for p in SRC.glob("*.py") if p.stem not in ("__init__", "cli"))
+    probe = "import sys, minword; print(sorted(m for m in sys.modules if m.startswith('minword.')))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=src_env(), check=True)
+    assert out.stdout == f"{expected}\n"
