@@ -27,6 +27,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .automaton import Alphabet, BINARY, Dfa, Word
 from .minimize import minimize
+from .product import _Memo
 from .shortest import intersection_lss
 
 MAX_PRODUCT_STATES = 64
@@ -68,12 +69,14 @@ def enumerate_dfas(states: int, alphabet: Alphabet = BINARY) -> Iterator[Dfa]:
     # reached by the cells before i; flat[i] is -1 before its first target.
     reached = [1] * (cells + 1)
     flat = [-1] * cells
+    # tuple.__new__(Dfa, fields) makes the record Dfa(*fields) makes, without
+    # a call of the named tuple's own Python-level __new__.
+    new = tuple.__new__
     i = 0
     while i >= 0:
         if i == cells:
             delta = tuple([tuple(flat[q * width : (q + 1) * width]) for q in range(states)])
-            for accepting in subsets:
-                yield Dfa(states, alphabet, 0, accepting, delta)
+            yield from [new(Dfa, (states, alphabet, 0, accepting, delta)) for accepting in subsets]
             i -= 1
         # The row of a reached state takes the next target up to the next free
         # number; any other row is a dead end.
@@ -211,28 +214,43 @@ def _column_masks(languages: Sequence[Dfa]) -> tuple[list, list[int]]:
     mask holds the languages with delta(l, a) = l2, and accepts[l] the
     languages accepting l.  Every language is a minimized DFA (a canonical
     language or the full one), and minimize numbers states from the initial
-    one, so every language starts at state 0.  For each (l, a) the targets of
-    all languages are one byte string, last language first so that it reads
-    as a base-2 numeral once each byte is turned into a digit, with 255 for
-    a language that has no state l; so every language needs fewer than 255
-    states, which SEARCH_BUDGET keeps to 6 or fewer (unary 7 states alone
-    is 7**7 * 2**7 > 10**8 raw DFAs).
+    one, so every language starts at state 0.
+
+    The column is one flat byte table of one record per language, last
+    language first: its targets, delta(l, a) at l * width + a, padded with
+    255 where the language has no state l, then one byte per state l, "1"
+    if it accepts l and "0" if not.  Each target half is built once per
+    distinct table and each flag half once per accepting set (the 57,067
+    nonempty languages of size <= 4 have 5,443 tables).  The step slice of
+    the table at the offset of one (l, a) is the targets of every
+    language, and it reads as a base-2 numeral once each byte is turned
+    into a digit; the slice at the offset of one l's flag is accepts[l]'s
+    numeral as it stands.  The padding needs every language to have fewer
+    than 255 states, which SEARCH_BUDGET keeps to 6 or fewer (unary 7
+    states alone is 7**7 * 2**7 > 10**8 raw DFAs).
     """
     states = max(d.state_count for d in languages)
     width = len(languages[0].alphabet)
-    column = languages[::-1]
-    missing = (255,) * width
+    cells = states * width
+    stride = cells + states
+    targets = _Memo(lambda delta: bytes(itertools.chain.from_iterable(delta)).ljust(cells, b"\xff"))
+    flags = _Memo(lambda accepting: bytes(49 if l in accepting else 48 for l in range(states)))
+    # Appended in place: bytes.join would hold a buffer view of every record
+    # at once, a tracemalloc peak of over 6 MB, not 1.4 MB, at size 4.
+    table = bytearray()
+    for d in reversed(languages):
+        table += targets[d.delta]
+        table += flags[d.accepting]
     digits = [bytes(49 if b == l2 else 48 for b in range(256)) for l2 in range(states)]
-    moves, accepts = [], []
+    moves = []
     for l in range(states):
-        rows = [d.delta[l] if l < d.state_count else missing for d in column]
         by_symbol = []
         for a in range(width):
-            targets = bytes(row[a] for row in rows)
-            masks = [int(targets.translate(digits[l2]), 2) for l2 in range(states)]
+            column = table[l * width + a :: stride]
+            masks = [int(column.translate(digits[l2]), 2) for l2 in range(states)]
             by_symbol.append([(l2, mask) for l2, mask in enumerate(masks) if mask])
         moves.append(by_symbol)
-        accepts.append(int(bytes(49 if l in d.accepting else 48 for d in column), 2))
+    accepts = [int(table[cells + l :: stride], 2) for l in range(states)]
     return moves, accepts
 
 

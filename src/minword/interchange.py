@@ -81,9 +81,11 @@ def dumps(dfa: Dfa, indent: int | None = None) -> str:
 
 
 def loads(text: str) -> Dfa:
+    # ValueError covers JSONDecodeError and an integer over the interpreter's
+    # digit limit (sys.get_int_max_str_digits); RecursionError, deep nesting.
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise InterchangeError(f"invalid JSON: {exc}") from exc
     return from_document(doc)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from math import prod
 from operator import add
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .automaton import Alphabet, AlphabetMismatchError, Dfa
 
@@ -57,12 +57,12 @@ class _Memo(dict):
 
     __slots__ = ("make",)
 
-    def __init__(self, make: Callable[[int], object]) -> None:
+    def __init__(self, make: Callable[[Hashable], object]) -> None:
         super().__init__()
         self.make = make
 
-    def __missing__(self, code: int) -> object:
-        value = self[code] = self.make(code)
+    def __missing__(self, key: Hashable) -> object:
+        value = self[key] = self.make(key)
         return value
 
 

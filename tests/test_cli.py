@@ -438,6 +438,17 @@ def test_lss_deeply_nested_json(capsys, tmp_path):
     assert err.startswith("error: invalid JSON")
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
+def test_lss_integer_over_the_digit_limit(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    states = "1" * (sys.get_int_max_str_digits() + 1)
+    path.write_text('{"states": %s, "alphabet": ["0"], "initial": 0, "accepting": [], "delta": [[0]]}' % states)
+    code, out, err = run_cli(capsys, "lss", "--dfa", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid JSON: Exceeds the limit")
+
+
 def test_lss_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "lss", "--dfa", str(tmp_path / "nope.json"))
     assert code == 2

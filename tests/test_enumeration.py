@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from minword import (
     BINARY,
     BudgetExceededError,
     canonical_languages,
+    Dfa,
     dumps,
     enumerate_dfas,
     intersection_lss,
@@ -81,7 +83,11 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("states, alphabet", ORACLE_CASES)
 def test_enumerate_dfas_is_the_bfs_numbered_raw_pool(states, alphabet):
     numbered = [d for d in raw_dfas(states, alphabet) if bfs_numbering(d) == list(range(states))]
-    assert list(enumerate_dfas(states, alphabet)) == numbered
+    candidates = list(enumerate_dfas(states, alphabet))
+    assert candidates == numbered
+    # A Dfa equals the plain tuple of its fields, so the comparison above
+    # would also pass on tuples.
+    assert all(type(d) is Dfa for d in candidates)
 
 
 @pytest.mark.parametrize("states, alphabet", ORACLE_CASES)
@@ -533,6 +539,20 @@ def test_column_masks_oracle(states, alphabet):
         [[(l2, mask) for l2, mask in enumerate(targets) if mask] for targets in by_symbol]
         for by_symbol in expected_moves
     ]
+
+
+def test_column_masks_peak_memory():
+    # The flat table of the size-4 column is 57,067 records of 12 bytes,
+    # about 0.7 MB, and the tracemalloc peak about 1.4 MB.  A build that
+    # joins one bytes object per language peaks at over 6 MB.
+    languages = tuple(d for d in canonical_languages(4) if d.accepting)
+    tracemalloc.start()
+    try:
+        enumeration._column_masks(languages)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 def test_mask_column_is_the_language_list(monkeypatch):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from minword import (
@@ -85,6 +87,15 @@ def test_deeply_nested_json_rejected(opening, inner, closing):
     depth = 200_000
     with pytest.raises(InterchangeError, match="invalid JSON"):
         loads(opening * depth + inner + closing * depth)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
+def test_integer_over_the_digit_limit_rejected():
+    # Python refuses to parse an int of more digits than its limit (4,300 by
+    # default) with a plain ValueError, not a JSONDecodeError.
+    states = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(InterchangeError, match="invalid JSON: Exceeds the limit"):
+        loads('{"states": %s, "alphabet": ["0"], "initial": 0, "accepting": [], "delta": [[0]]}' % states)
 
 
 def test_non_object_rejected():
