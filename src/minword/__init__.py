@@ -25,7 +25,6 @@ from .constructions import (
     ramp_cycle_dfa,
     unary_residue_dfa,
 )
-from .dot import to_dot
 from .enumeration import (
     BudgetExceededError,
     SearchReport,
@@ -78,7 +77,6 @@ __all__ = [
     "state_complexity",
     "tightness_search",
     "to_document",
-    "to_dot",
     "unary_residue_dfa",
     "validate",
     "verify_range",

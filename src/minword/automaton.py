@@ -133,7 +133,12 @@ def validate(dfa: Dfa) -> None:
 
 def run(dfa: Dfa, word: Iterable[int], start: int | None = None) -> int:
     """Fold the word through the transition table; empty word returns the start state."""
-    state = dfa.initial if start is None else start
+    if start is None:
+        state = dfa.initial
+    elif 0 <= start < dfa.state_count:
+        state = start
+    else:
+        raise ValueError(f"start state {start} out of range for {dfa.state_count} states")
     width = len(dfa.alphabet)
     for sym in word:
         if not 0 <= sym < width:

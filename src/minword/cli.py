@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: witness, verify, search, lss, export-dot.  Exit codes: 0 on
+Subcommands: witness, verify, search, lss.  Exit codes: 0 on
 success/pass, 1 when a verified claim fails (or an lss query finds an empty
 intersection), 2 on usage or input errors.
 """
@@ -13,21 +13,18 @@ import json
 import signal
 import sys
 from math import prod
-from pathlib import Path
 
 from .automaton import format_word
-from .constructions import ones_mod_dfa, ramp_cycle_dfa
-from .dot import to_dot
 from .enumeration import BudgetExceededError, SearchReport, tightness_search
 from .interchange import load_path, to_document
-from .product import product
 from .reports import WitnessReport, build_witness_report, verify_range
 from .shortest import intersection_lss
 
 SCHEMA_VERSION = 1
-# A stopping walk peaks at about 115 bytes per state and product() at about
-# 185 (tracemalloc, two components over 3 letters), so this caps a walk
-# under 0.8 GB.
+# witness and verify walk the products of (m, n) pairs, and lss the product
+# of its DFA files.  Each walk stops at its first accepting state and peaks at
+# about 115 bytes per state (tracemalloc, two components over 3 letters), so
+# this caps a walk under 0.5 GB.
 MAX_WALK_STATES = 1 << 22
 
 
@@ -90,26 +87,9 @@ def _pair_sizes(m: int, n: int) -> tuple[int, int]:
     return m, n
 
 
-def _construction_dot(name: str, m: int, n: int) -> str:
-    """DOT of `ones` (states p_a), `ramp` (q_b) or their `product` ((p_a,q_b))."""
-    ones = [f"p_{a}" for a in range(m)]
-    if name == "ones":
-        return to_dot(ones_mod_dfa(m), ones, name=name)
-    ramp = [f"q_{b}" for b in range(n)]
-    if name == "ramp":
-        return to_dot(ramp_cycle_dfa(m, n), ramp, name=name)
-    prod = product([ones_mod_dfa(m), ramp_cycle_dfa(m, n)])
-    return to_dot(prod.dfa, [f"({ones[a]},{ramp[b]})" for a, b in prod.tags], name=name)
-
-
 def cmd_witness(args) -> int:
     m, n = _pair_sizes(args.m, args.n)
     report = build_witness_report(m, n)
-    if args.dot:
-        directory = Path(args.dot)
-        directory.mkdir(parents=True, exist_ok=True)
-        for name in ("ones", "ramp", "product"):
-            (directory / f"{name}.dot").write_text(_construction_dot(name, m, n), encoding="utf-8")
     row = report._asdict()
     if args.format == "structured":
         _emit_json("witness", row, args)
@@ -196,35 +176,6 @@ def cmd_lss(args) -> int:
     return 1 if empty else 0
 
 
-def cmd_export_dot(args) -> int:
-    if args.dfa:
-        if args.source is not None:
-            raise ValueError("give either a construction name or --dfa, not both")
-        if args.m is not None or args.n is not None:
-            raise ValueError("give either --dfa or --m/--n, not both")
-        if len(args.dfa) > 1:
-            raise ValueError("export-dot renders a single DFA file")
-        text = to_dot(load_path(args.dfa[0]))
-    elif args.source is None:
-        raise ValueError("need a construction name (ones|ramp|product) or --dfa")
-    elif args.m is None:
-        raise ValueError("constructions need --m")
-    elif args.source == "ones":
-        if args.n is not None:
-            raise ValueError("construction 'ones' takes only --m, not --n")
-        _check_walk(args.m, "construction 'ones'")
-        text = _construction_dot("ones", args.m, args.n)
-    elif args.n is None:
-        raise ValueError(f"construction {args.source!r} needs --m and --n")
-    else:
-        text = _construction_dot(args.source, *_pair_sizes(args.m, args.n))
-    if args.dot:
-        Path(args.dot).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
         sizes = tuple(int(part) for part in text.split(","))
@@ -238,7 +189,7 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minword",
-        description="Shortest accepted words of DFA intersections: build, verify, search, export.",
+        description="Shortest accepted words of DFA intersections: witness, verify, search, lss.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -258,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="verify the mn-1 bound for one (m, n) pair")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dot", metavar="DIR", help="also write ones.dot, ramp.dot, product.dot here")
     add_common(p, ["text", "structured", "csv"])
     p.set_defaults(func=cmd_witness)
 
@@ -277,14 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, ["text", "structured"])
     p.set_defaults(func=cmd_lss)
 
-    p = sub.add_parser("export-dot", help="render a construction or DFA file as DOT")
-    p.add_argument("source", nargs="?", choices=["ones", "ramp", "product"])
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--dfa", action="append", metavar="PATH")
-    p.add_argument("--dot", metavar="PATH", help="output file (stdout if omitted)")
-    p.set_defaults(func=cmd_export_dot)
-
     return parser
 
 
@@ -302,7 +244,7 @@ def entry() -> None:
     # Die silently of SIGPIPE when the reader closes the pipe, as Unix filters do.
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    # Labels are UTF-8 in DFA and DOT files, so they are on stdout too, whatever the locale.
+    # Labels are UTF-8 in DFA files, so they are on stdout too, whatever the locale.
     sys.stdout.reconfigure(encoding="utf-8")
     sys.exit(main())
 

@@ -100,6 +100,13 @@ def test_run_rejects_out_of_range_symbol():
         run(ones_mod_dfa(2), (-1,))
 
 
+@pytest.mark.parametrize("word", [(), (0,)])
+@pytest.mark.parametrize("start", [-1, 3])
+def test_run_rejects_out_of_range_start(start, word):
+    with pytest.raises(ValueError, match=f"^start state {start} out of range for 3 states$"):
+        run(ramp_cycle_dfa(2, 3), word, start=start)
+
+
 def test_accepts_ones_parity():
     assert accepts(ones_mod_dfa(2), parse_word(BINARY, "11"))
     assert not accepts(ones_mod_dfa(2), parse_word(BINARY, "1"))

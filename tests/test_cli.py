@@ -11,11 +11,9 @@ from minword import (
     BINARY,
     Dfa,
     WitnessReport,
-    load_path,
     ones_mod_dfa,
     ramp_cycle_dfa,
     save_path,
-    to_dot,
     unary_residue_dfa,
 )
 from minword import cli, enumeration, reports
@@ -125,18 +123,17 @@ def test_witness_fails_unless_state_complexities_are_m_and_n(capsys, monkeypatch
     assert "passed: false" in out
 
 
-def test_witness_writes_dot_files(capsys, tmp_path):
+def test_dot_export_is_gone(capsys, tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["export-dot", "ones", "--m", "1"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'export-dot'" in capsys.readouterr().err
     out_dir = tmp_path / "dots"
-    code, _, _ = run_cli(capsys, "witness", "--m", "2", "--n", "3", "--dot", str(out_dir))
-    assert code == 0
-    for name in ("ones.dot", "ramp.dot", "product.dot"):
-        assert (out_dir / name).exists()
-    assert "(p_0,q_0)" in (out_dir / "product.dot").read_text()
-    for name in ("ones", "ramp", "product"):
-        sizes = ("--m", "2") if name == "ones" else ("--m", "2", "--n", "3")
-        code, exported, _ = run_cli(capsys, "export-dot", name, *sizes)
-        assert code == 0
-        assert exported == (out_dir / f"{name}.dot").read_text()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["witness", "--m", "2", "--n", "3", "--dot", str(out_dir)])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --dot" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 # --- verify -----------------------------------------------------------------
@@ -368,31 +365,21 @@ def test_lss_reads_utf8_under_ascii_locale(accented_file):
     assert json.loads(out)["witness"] == "\u00e9"
 
 
-@pytest.mark.parametrize("command", ["lss", "export-dot"])
-def test_text_output_is_utf8_under_ascii_locale(accented_file, command):
-    out = _run_under_ascii_locale(command, "--dfa", str(accented_file))
-    if command == "lss":
-        expected = "length: 1\nwitness: \u00e9\n"
-    else:
-        expected = to_dot(load_path(accented_file))
-    assert "\u00e9" in expected
-    assert out == expected.encode("utf-8")
+def test_text_output_is_utf8_under_ascii_locale(accented_file):
+    out = _run_under_ascii_locale("lss", "--dfa", str(accented_file))
+    assert out == "length: 1\nwitness: \u00e9\n".encode("utf-8")
 
 
-@pytest.mark.parametrize("command", ["lss", "export-dot"])
-def test_lone_surrogate_label_is_rejected_on_load(capsys, tmp_path, command):
+def test_lone_surrogate_label_is_rejected_on_load(capsys, tmp_path):
     path = tmp_path / "s.json"
     path.write_text(
         '{"states": 2, "alphabet": ["\\ud800", "b"], "initial": 0, "accepting": [1], "delta": [[1, 0], [1, 1]]}',
         encoding="utf-8",
     )
-    dot = tmp_path / "out.dot"
-    extra = ("--dot", str(dot)) if command == "export-dot" else ()
-    code, out, err = run_cli(capsys, command, "--dfa", str(path), *extra)
+    code, out, err = run_cli(capsys, "lss", "--dfa", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: key 'alphabet': ")
-    assert not dot.exists()
 
 
 def test_lss_empty_intersection_exit_code(capsys, tmp_path):
@@ -455,107 +442,6 @@ def test_lss_missing_file(capsys, tmp_path):
     assert "error" in err
 
 
-# --- export-dot -------------------------------------------------------------
-
-
-def test_export_ones(capsys):
-    code, out, _ = run_cli(capsys, "export-dot", "ones", "--m", "1")
-    assert code == 0
-    assert out.count("->") == 3  # start arrow + two self-loops
-    assert '"p_0"' in out
-
-
-def test_export_ramp(capsys):
-    code, out, _ = run_cli(capsys, "export-dot", "ramp", "--m", "2", "--n", "3")
-    assert code == 0
-    assert '"q_2" [shape=doublecircle];' in out
-    assert out.count("[label=") == 6
-
-
-def test_export_product(capsys):
-    code, out, _ = run_cli(capsys, "export-dot", "product", "--m", "2", "--n", "3")
-    assert code == 0
-    assert out.count("shape=circle") + out.count("shape=doublecircle") <= 6
-
-
-def test_export_to_file(capsys, tmp_path):
-    target = tmp_path / "ones.dot"
-    code, out, _ = run_cli(capsys, "export-dot", "ones", "--m", "2", "--dot", str(target))
-    assert code == 0
-    assert out == ""
-    assert "digraph ones" in target.read_text()
-
-
-def test_export_user_dfa_uses_integer_labels(capsys, tmp_path):
-    path = tmp_path / "dfa.json"
-    save_path(ramp_cycle_dfa(2, 3), path)
-    code, out, _ = run_cli(capsys, "export-dot", "--dfa", str(path))
-    assert code == 0
-    assert '"0" -> "1" [label="1"];' in out
-    assert "q_" not in out
-
-
-def test_export_requires_source_or_file(capsys):
-    code, _, err = run_cli(capsys, "export-dot")
-    assert code == 2
-    assert "construction" in err
-
-
-def test_export_rejects_both_source_and_file(capsys, tmp_path):
-    path = tmp_path / "dfa.json"
-    save_path(ones_mod_dfa(2), path)
-    code, _, err = run_cli(capsys, "export-dot", "ones", "--m", "2", "--dfa", str(path))
-    assert code == 2
-
-
-def test_export_ones_requires_m(capsys):
-    code, _, err = run_cli(capsys, "export-dot", "ones")
-    assert code == 2
-    assert "--m" in err
-
-
-def test_export_ramp_requires_n(capsys):
-    code, _, err = run_cli(capsys, "export-dot", "ramp", "--m", "2")
-    assert code == 2
-    assert "--n" in err
-
-
-def test_export_ones_rejects_n(capsys):
-    code, out, err = run_cli(capsys, "export-dot", "ones", "--m", "1", "--n", "0")
-    assert code == 2
-    assert out == ""
-    assert err == "error: construction 'ones' takes only --m, not --n\n"
-
-
-@pytest.mark.parametrize("option", [("--format", "csv"), ("--timestamp",)])
-def test_export_rejects_output_options(capsys, option):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["export-dot", "ones", "--m", "1", *option])
-    assert excinfo.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        ((), "need a construction name (ones|ramp|product) or --dfa"),
-        (("ones",), "constructions need --m"),
-        (("ramp",), "constructions need --m"),
-        (("ramp", "--m", "2"), "construction 'ramp' needs --m and --n"),
-        (("product", "--m", "2"), "construction 'product' needs --m and --n"),
-        (("ones", "--m", "2", "--dfa", "a.json"), "give either a construction name or --dfa, not both"),
-        (("--dfa", "a.json", "--dfa", "b.json"), "export-dot renders a single DFA file"),
-        (("--dfa", "a.json", "--m", "2"), "give either --dfa or --m/--n, not both"),
-        (("--dfa", "a.json", "--n", "3"), "give either --dfa or --m/--n, not both"),
-    ],
-)
-def test_export_usage_errors_exact(capsys, argv, message):
-    code, out, err = run_cli(capsys, "export-dot", *argv)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {message}\n"
-
-
 # --- byte-exact output ---------------------------------------------------------
 
 _WITNESS_2_3_TEXT = """\
@@ -616,11 +502,10 @@ def test_stdout_exact(capsys, tmp_path, pair_files, argv, expected_code, expecte
 
 
 _OPTIONS = {
-    "witness": {"--m", "--n", "--dot", "--format", "--timestamp"},
+    "witness": {"--m", "--n", "--format", "--timestamp"},
     "verify": {"--max-n", "--format", "--timestamp"},
     "search": {"--sizes", "--format", "--timestamp"},
     "lss": {"--dfa", "--format", "--timestamp"},
-    "export-dot": {"--m", "--n", "--dfa", "--dot"},
 }
 
 
