@@ -20,17 +20,16 @@ class AlphabetMismatchError(ValueError):
     """An operation received automata over different alphabets."""
 
 
-class Alphabet:
+class Alphabet(tuple):
     """Ordered, duplicate-free symbol labels; a symbol's index is its position.
 
-    Immutable and hashable; two alphabets are equal when their labels are.
+    An Alphabet is the tuple of its labels, checked on construction, so it is
+    immutable and hashable, and it equals the plain tuple of its labels.
     """
 
-    __slots__ = ("symbols",)
+    __slots__ = ()
 
-    symbols: tuple[str, ...]
-
-    def __init__(self, symbols: Iterable[str]) -> None:
+    def __new__(cls, symbols: Iterable[str]) -> Alphabet:
         symbols = tuple(symbols)
         if not symbols:
             raise ValueError("alphabet must be nonempty")
@@ -43,37 +42,15 @@ class Alphabet:
                 raise ValueError(f"alphabet label {label!r} is not encodable as UTF-8") from None
         if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet labels must be distinct")
-        object.__setattr__(self, "symbols", symbols)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an Alphabet")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an Alphabet")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, since __setattr__ refuses.
-        return Alphabet, (self.symbols,)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Alphabet:
-            return NotImplemented
-        return self.symbols == other.symbols
-
-    def __hash__(self) -> int:
-        return hash(self.symbols)
+        return tuple.__new__(cls, symbols)
 
     def __repr__(self) -> str:
-        return f"Alphabet(symbols={self.symbols!r})"
+        return f"Alphabet(symbols={tuple(self)!r})"
 
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def index(self, label: str) -> int:
-        return self.symbols.index(label)
+    @property
+    def symbols(self) -> Alphabet:
+        """The labels in order: the alphabet itself."""
+        return self
 
 
 BINARY = Alphabet(("0", "1"))
@@ -162,7 +139,7 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
     for pos in range(len(text)):
         if not parses[pos]:
             continue
-        for idx, label in enumerate(alphabet.symbols):
+        for idx, label in enumerate(alphabet):
             if text.startswith(label, pos):
                 end = pos + len(label)
                 parses[end] = min(2, parses[end] + parses[pos])
@@ -182,4 +159,4 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
 
 
 def format_word(alphabet: Alphabet, word: Sequence[int]) -> str:
-    return "".join(alphabet.symbols[sym] for sym in word)
+    return "".join(alphabet[sym] for sym in word)

@@ -8,7 +8,6 @@ intersection), 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import signal
 import sys
@@ -22,9 +21,11 @@ from .shortest import intersection_lss
 
 SCHEMA_VERSION = 1
 # witness and verify walk the products of (m, n) pairs, and lss the product
-# of its DFA files.  Each walk stops at its first accepting state and peaks at
-# about 115 bytes per state (tracemalloc, two components over 3 letters), so
-# this caps a walk under 0.5 GB.
+# of its DFA files, largest file first.  Each walk stops at its first
+# accepting state.  Under tracemalloc, empty queries over 3 letters peaked at
+# about 115 bytes per state with two files and 115-150 with three distinct
+# ones, so this caps such walks at about 0.5-0.65 GB.  A file given twice
+# still takes 365 bytes per state.
 MAX_WALK_STATES = 1 << 22
 
 
@@ -60,12 +61,10 @@ def _emit_csv(reports: list[WitnessReport]) -> None:
     """A header of the WitnessReport fields, then one row per report."""
     import csv
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(WitnessReport._fields)
     for report in reports:
         writer.writerow(map(_fmt, report))
-    sys.stdout.write(buf.getvalue())
 
 
 def _check_walk(states: int, what: str) -> None:

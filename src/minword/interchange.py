@@ -23,7 +23,7 @@ class InterchangeError(ValueError):
 def to_document(dfa: Dfa) -> dict:
     return {
         "states": dfa.state_count,
-        "alphabet": list(dfa.alphabet.symbols),
+        "alphabet": list(dfa.alphabet),
         "initial": dfa.initial,
         "accepting": sorted(dfa.accepting),
         "delta": [list(row) for row in dfa.delta],

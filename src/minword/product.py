@@ -74,7 +74,7 @@ def shared_alphabet(components: Sequence[Dfa]) -> Alphabet:
     for d in components[1:]:
         if d.alphabet != alphabet:
             raise AlphabetMismatchError(
-                f"components must share one alphabet: {d.alphabet.symbols} != {alphabet.symbols}"
+                f"components must share one alphabet: {tuple(d.alphabet)} != {tuple(alphabet)}"
             )
     return alphabet
 

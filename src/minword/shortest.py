@@ -31,11 +31,14 @@ def intersection_lss(components: Sequence[Dfa]) -> LssResult | None:
 
     Equals shortest_accepted(product(components).dfa), but stops the product
     walk at the first all-accepting tuple instead of building the product.
+    The walk's order does not depend on the components' order, so it takes
+    the largest first: the tail it builds as it goes is then the product of
+    the smaller ones.
     """
     width = len(shared_alphabet(components))
     if not all(d.accepting for d in components):
         return None
-    found = walk(components, stop=True)
+    found = walk(sorted(components, key=lambda d: d.state_count, reverse=True), stop=True)
     if not found.accepting:
         return None
     symbols: list[int] = []

@@ -1,3 +1,4 @@
+import copy
 import pickle
 from random import Random
 
@@ -226,8 +227,12 @@ def test_records_are_immutable_values(build, field):
     with pytest.raises(AttributeError):
         delattr(record, field)
     assert getattr(record, field) is before
-    copy = pickle.loads(pickle.dumps(record))
-    assert copy == record and hash(copy) == hash(record)
+    # Records equal plain tuples, so == alone cannot show that a copy kept its type.
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    copies = [pickle.loads(pickle.dumps(record, protocol)) for protocol in protocols]
+    for twin in copies + [copy.copy(record), copy.deepcopy(record)]:
+        assert twin == record and hash(twin) == hash(record)
+        assert type(twin) is type(record)
 
 
 # Dfa converts nothing, so every builder must hand it a frozenset and tuples.
@@ -248,6 +253,7 @@ BUILDERS = {
 @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
 def test_builders_emit_frozen_fields(build):
     for d in build():
+        assert type(d.alphabet) is Alphabet
         assert type(d.accepting) is frozenset
         assert type(d.delta) is tuple
         assert all(type(row) is tuple for row in d.delta)

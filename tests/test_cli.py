@@ -416,6 +416,18 @@ def test_lss_alphabet_mismatch(capsys, tmp_path):
     assert "alphabet" in err
 
 
+def test_lss_alphabet_order_mismatch_exact(capsys, tmp_path):
+    # The same labels in another order are another alphabet.
+    a = tmp_path / "01.json"
+    b = tmp_path / "10.json"
+    a.write_text('{"states": 1, "alphabet": ["0", "1"], "initial": 0, "accepting": [0], "delta": [[0, 0]]}')
+    b.write_text('{"states": 1, "alphabet": ["1", "0"], "initial": 0, "accepting": [0], "delta": [[0, 0]]}')
+    code, out, err = run_cli(capsys, "lss", "--dfa", str(a), "--dfa", str(b))
+    assert code == 2
+    assert out == ""
+    assert err == "error: components must share one alphabet: ('1', '0') != ('0', '1')\n"
+
+
 def test_lss_deeply_nested_json(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000 + "]" * 200_000)

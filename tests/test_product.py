@@ -1,4 +1,5 @@
 import importlib
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from minword import (
     Dfa,
     accepts,
     equivalent,
+    intersection_lss,
     ones_mod_dfa,
     parse_word,
     product,
@@ -42,6 +44,13 @@ def test_pair_size_bound_and_acceptance():
 def test_alphabet_mismatch_rejected():
     with pytest.raises(AlphabetMismatchError):
         product([ones_mod_dfa(2), unary_residue_dfa(1, 2)])
+
+
+def test_alphabet_mismatch_message_prints_the_labels():
+    swapped = Dfa(1, Alphabet(("1", "0")), 0, frozenset({0}), ((0, 0),))
+    with pytest.raises(AlphabetMismatchError) as info:
+        product([ones_mod_dfa(2), swapped])
+    assert str(info.value) == "components must share one alphabet: ('1', '0') != ('0', '1')"
 
 
 def test_empty_component_list_rejected():
@@ -189,3 +198,26 @@ def test_full_walk_fills_the_tail_memo_with_reachable_tails_only(monkeypatch):
     assert set(rows) == tails
     assert set(accepts) <= tails
     assert len(tails) == 5
+
+
+def _parity_dfa(seed, half, parity):
+    """A random half-state DFA doubled by the parity of the 0s read; accepts only that parity."""
+    rng = Random(seed)
+    base = [(rng.randrange(half), rng.randrange(half)) for _ in range(half)]
+    delta = tuple((2 * base[q // 2][0] + (q % 2 ^ 1), 2 * base[q // 2][1] + q % 2) for q in range(2 * half))
+    accepting = frozenset(q for q in range(2 * half) if q % 2 == parity)
+    return Dfa(2 * half, BINARY, 0, accepting, delta)
+
+
+def test_lss_builds_its_tail_memo_behind_the_largest_component(monkeypatch):
+    # Even and odd parity never meet, so the query walks the whole reachable
+    # product of the two 20-state DFAs.  Walked with the 1-state DFA first,
+    # their product would be the tail and its memo would keep a row for each
+    # of the walk's states; walked largest first, the tail is one 20-state
+    # DFA and the 1-state one.
+    one = Dfa(1, BINARY, 0, frozenset({0}), ((0, 0),))
+    a, b = _parity_dfa(1, 10, 0), _parity_dfa(2, 10, 1)
+    assert len(walk([a, b]).codes) > 20
+    made = _recorded_memos(monkeypatch)
+    assert intersection_lss([one, a, b]) is None
+    assert made and all(len(memo) <= 20 for memo in made)

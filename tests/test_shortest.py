@@ -1,5 +1,7 @@
+from itertools import permutations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from minword import (
     BINARY,
@@ -115,6 +117,16 @@ def test_fused_intersection_equals_composed(a, b, c):
         else:
             assert result.witness == oracle
             assert result.length == len(oracle)
+
+
+@given(components=st.lists(dfas(max_states=4), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_intersection_is_invariant_under_permutation(components):
+    # product() walks the components in the order given; intersection_lss
+    # reorders them, largest first, so every order must give the same answer.
+    expected = shortest_accepted(product(components).dfa)
+    for order in permutations(components):
+        assert intersection_lss(list(order)) == expected
 
 
 @given(a=dfas(max_states=5), b=dfas(max_states=5))
