@@ -21,11 +21,11 @@ from .shortest import intersection_lss
 
 SCHEMA_VERSION = 1
 # witness and verify walk the products of (m, n) pairs, and lss the product
-# of its DFA files, largest file first.  Each walk stops at its first
-# accepting state.  Under tracemalloc, empty queries over 3 letters peaked at
-# about 115 bytes per state with two files and 115-150 with three distinct
-# ones, so this caps such walks at about 0.5-0.65 GB.  A file given twice
-# still takes 365 bytes per state.
+# of its DFA files.  Each walk stops at its first accepting state.  Under
+# tracemalloc, empty queries over 3 letters peaked at about 115 bytes per
+# state with two 600-state files or one of them given twice, and 145 with a
+# 20-state third file (1,393,373 states), so this caps such walks at about
+# 0.5-0.6 GB.
 MAX_WALK_STATES = 1 << 22
 
 

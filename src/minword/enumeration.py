@@ -23,11 +23,10 @@ import itertools
 from functools import lru_cache
 from math import prod
 from operator import attrgetter
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .automaton import Alphabet, BINARY, Dfa, Word
 from .minimize import minimize
-from .product import _Memo
 from .shortest import intersection_lss
 
 MAX_PRODUCT_STATES = 64
@@ -39,7 +38,7 @@ class BudgetExceededError(RuntimeError):
     """The search would exceed its guard rails; partial scans are refused."""
 
 
-def enumerate_dfas(states: int, alphabet: Alphabet = BINARY) -> Iterator[Dfa]:
+def enumerate_dfas(states: int, alphabet: Iterable[str] = BINARY) -> Iterator[Dfa]:
     """Yield every accessible complete DFA with the given states, one per renaming.
 
     A table is kept when every state is reachable from the initial state 0
@@ -53,10 +52,12 @@ def enumerate_dfas(states: int, alphabet: Alphabet = BINARY) -> Iterator[Dfa]:
     canonical strings of Almeida, Moreira and Reis, 2007), so they come out
     in lexicographic flat-table order and no other table is looked at.
     Each table is paired with all 2**states accepting sets, consecutively,
-    the i-th holding exactly the states q with bit q of i set.
+    the i-th holding exactly the states q with bit q of i set.  Any
+    iterable of labels is checked and made an Alphabet, as the DFAs carry.
     """
     if states < 1:
         raise ValueError(f"state count must be positive, got {states}")
+    alphabet = Alphabet(alphabet)
     width = len(alphabet)
     cells = states * width
     subsets = [
@@ -89,7 +90,7 @@ def enumerate_dfas(states: int, alphabet: Alphabet = BINARY) -> Iterator[Dfa]:
             i -= 1
 
 
-def canonical_languages(states: int, alphabet: Alphabet = BINARY) -> tuple[Dfa, ...]:
+def canonical_languages(states: int, alphabet: Iterable[str] = BINARY) -> tuple[Dfa, ...]:
     """All languages with state complexity <= states, as canonical minimal DFAs.
 
     For k = 1..states, keeps each candidate of enumerate_dfas(k) whose
@@ -129,13 +130,13 @@ def canonical_languages(states: int, alphabet: Alphabet = BINARY) -> tuple[Dfa, 
     candidates kept for each k grouped by accepting set in that order; each
     group keeps the flat-table order enumerate_dfas yields.  Beyond 9 states
     the order would differ, but the enumeration cannot finish there anyway.
-    A state count below 1 raises ValueError.  Cached per (states,
-    alphabet), however the alphabet is passed; cache_clear empties the
-    cache.
+    A state count below 1 raises ValueError, and so does an alphabet that
+    Alphabet rejects.  Cached per (states, alphabet), however the labels are
+    passed, and the DFAs carry an Alphabet; cache_clear empties the cache.
     """
     if states < 1:
         raise ValueError(f"state count must be positive, got {states}")
-    return _canonical_languages(states, alphabet)
+    return _canonical_languages(states, Alphabet(alphabet))
 
 
 def _apart_sets(delta: Sequence[Sequence[int]], inside: Sequence[int]) -> int:
@@ -233,14 +234,18 @@ def _column_masks(languages: Sequence[Dfa]) -> tuple[list, list[int]]:
     width = len(languages[0].alphabet)
     cells = states * width
     stride = cells + states
-    targets = _Memo(lambda delta: bytes(itertools.chain.from_iterable(delta)).ljust(cells, b"\xff"))
-    flags = _Memo(lambda accepting: bytes(49 if l in accepting else 48 for l in range(states)))
+    targets: dict[tuple[tuple[int, ...], ...], bytes] = {}
+    flags: dict[frozenset[int], bytes] = {}
     # Appended in place: bytes.join would hold a buffer view of every record
     # at once, a tracemalloc peak of over 6 MB, not 1.4 MB, at size 4.
     table = bytearray()
     for d in reversed(languages):
-        table += targets[d.delta]
-        table += flags[d.accepting]
+        if (row := targets.get(d.delta)) is None:
+            row = targets[d.delta] = bytes(itertools.chain.from_iterable(d.delta)).ljust(cells, b"\xff")
+        if (bits := flags.get(d.accepting)) is None:
+            bits = flags[d.accepting] = bytes(49 if l in d.accepting else 48 for l in range(states))
+        table += row
+        table += bits
     digits = [bytes(49 if b == l2 else 48 for b in range(256)) for l2 in range(states)]
     moves = []
     for l in range(states):
@@ -297,12 +302,13 @@ def _row_pass(row: Dfa, moves: list, accepts: list[int], everything: int) -> tup
     return last
 
 
-def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> SearchReport:
+def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> SearchReport:
     """Exhaustively search size-bounded language tuples for the maximum lss.
 
-    The tuples take one language from canonical_languages(s) per size s.
-    Tuples containing the empty language are skipped (their intersection is
-    empty by construction).  tuples_examined counts the nonempty tuples,
+    The tuples take one language from canonical_languages(s) per size s,
+    over the alphabet's labels checked as an Alphabet.  Tuples containing
+    the empty language are skipped (their intersection is empty by
+    construction).  tuples_examined counts the nonempty tuples,
     the space searched, not the work done; tuples_skipped counts the rest.
     The report gives the maximum shortest-word length over nonempty
     intersections and the least index tuple attaining it; the lists are
@@ -349,7 +355,7 @@ def tightness_search(sizes: Sequence[int], alphabet: Alphabet = BINARY) -> Searc
     k <= s it fills only the accessible k-state tables, depth-first, and
     decides all 2**k accepting sets of a table in one pass.
     """
-    sizes = tuple(sizes)
+    sizes, alphabet = tuple(sizes), Alphabet(alphabet)
     if not sizes:
         raise ValueError("sizes must be nonempty")
     if any(s < 1 for s in sizes):

@@ -12,20 +12,21 @@ The walk keys a tuple (q_0, ..., q_{k-1}) of component states by one
 mixed-radix int, its code q_0*span_0 + q_1*span_1 + ... + q_{k-1}, where
 span_i is the product of the state counts of the components after i; a
 lone component's codes are its states.  Its dict and its queue hold ints,
-and no tuple is built or hashed.  The head's rows are pre-scaled by span_0,
-so the successor codes of a tuple are its head row plus the row of its tail
-(q_1, ..., q_{k-1}), entry by entry.  With two components the tail's rows
-are the last component's own table.  With more, a tail's row and its
-acceptance are built the first time the walk asks for them, so no tail
-outside the reachable product is expanded.  product() alone turns codes
-back into tuples.
+and no tuple is built or hashed.  The rows of every component but the last
+are pre-scaled by its span, so the successor codes of a tuple are its
+components' rows added entry by entry: the walk divmods a code against the
+spans and chains lazy maps over those rows, the last component's own table
+last.  A tuple's acceptance is decoded the same way, past the head only when
+the head accepts.  Nothing is built or kept per tail, so a walk holds only
+its codes and what its callers read, whatever its components.  product()
+alone turns codes back into tuples.
 """
 
 from __future__ import annotations
 
 from math import prod
 from operator import add
-from typing import Callable, Hashable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .automaton import Alphabet, AlphabetMismatchError, Dfa
 
@@ -52,20 +53,6 @@ class Walk(NamedTuple):
     accepting: list[int]  # all-accepting states, in discovery order
 
 
-class _Memo(dict):
-    """A table whose missing entries make() builds on first lookup and keeps."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable[[Hashable], object]) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: Hashable) -> object:
-        value = self[key] = self.make(key)
-        return value
-
-
 def shared_alphabet(components: Sequence[Dfa]) -> Alphabet:
     """The one alphabet of a nonempty component list; raises otherwise."""
     if not components:
@@ -84,44 +71,42 @@ def _scaled(dfa: Dfa, span: int) -> list[tuple[int, ...]]:
     return [tuple([t * span for t in row]) for row in dfa.delta]
 
 
-def _tail(components: Sequence[Dfa]) -> tuple[Sequence[Sequence[int]], Sequence[bool], int, int]:
-    """Rows and acceptance by code of the components' product, its state count and start code.
+class _Tail:
+    """A tail of two or more components, read by code like one component's table or flags.
 
-    One component's rows are its own table.  Each component in front joins
-    it through two _Memo tables, which build a tuple's row and acceptance
-    from its head and its tail the first time they are looked up.
+    middle holds (span, rows scaled by span, accepting set) of each tail
+    component but the last, and last the last one's table or flags.  Each
+    lookup divmods the code against the middle spans; nothing is kept.
     """
-    last = components[-1]
-    flags = [False] * last.state_count
-    for q in last.accepting:
-        flags[q] = True
-    rows: Sequence[Sequence[int]] = last.delta
-    accepts: Sequence[bool] = flags
-    span = last.state_count
-    start = last.initial
-    for head in reversed(components[:-1]):
-        rows, accepts = _joined(head, span, rows, accepts)
-        start += head.initial * span
-        span *= head.state_count
-    return rows, accepts, span, start
+
+    __slots__ = ("middle", "last")
+
+    def __init__(self, middle: list[tuple[int, list[tuple[int, ...]], frozenset[int]]], last: Sequence) -> None:
+        self.middle = middle
+        self.last = last
 
 
-def _joined(
-    head: Dfa, span: int, tail_rows: Sequence[Sequence[int]], tail_accepts: Sequence[bool]
-) -> tuple[_Memo, _Memo]:
-    """Row and acceptance tables of head joined in front of a tail of span states."""
-    head_rows = _scaled(head, span)
-    head_accepting = head.accepting
+class _TailRows(_Tail):
+    __slots__ = ()
 
-    def row(code: int) -> tuple[int, ...]:
-        h, r = divmod(code, span)
-        return tuple(map(add, head_rows[h], tail_rows[r]))
+    def __getitem__(self, code: int) -> Iterable[int]:
+        """The tail row: lazy maps chained over the middle rows, then the last row."""
+        targets = None
+        for span, rows, _ in self.middle:
+            q, code = divmod(code, span)
+            targets = rows[q] if targets is None else map(add, targets, rows[q])
+        return map(add, targets, self.last[code])
 
-    def accepts(code: int) -> bool:
-        h, r = divmod(code, span)
-        return h in head_accepting and tail_accepts[r]
 
-    return _Memo(row), _Memo(accepts)
+class _TailAccepts(_Tail):
+    __slots__ = ()
+
+    def __getitem__(self, code: int) -> bool:
+        for span, _, accepting in self.middle:
+            q, code = divmod(code, span)
+            if q not in accepting:
+                return False
+        return self.last[code]
 
 
 def walk(components: Sequence[Dfa], stop: bool = False) -> Walk:
@@ -133,21 +118,30 @@ def walk(components: Sequence[Dfa], stop: bool = False) -> Walk:
     parent links spell.  Each kind of walk keeps only what its callers read,
     parents or rows, to keep the memory of large walks down.
     """
-    head = components[0]
+    head, last = components[0], components[-1]
+    head_accepting = head.accepting
     if len(components) == 1:
         # A lone component's codes are its states: its own rows, no tail.
-        tail_rows, tail_accepts, span, start = None, (True,), 1, head.initial
+        head_rows, tail_rows, tail_accepts, span, start = head.delta, None, (True,), 1, head.initial
     else:
-        tail_rows, tail_accepts, span, start = _tail(components[1:])
+        tail_rows = last.delta
+        tail_accepts = [q in last.accepting for q in range(last.state_count)]
+        span, start = last.state_count, last.initial
+        middle = []
+        for d in reversed(components[1:-1]):
+            middle.insert(0, (span, _scaled(d, span), d.accepting))
+            start += d.initial * span
+            span *= d.state_count
+        if middle:
+            tail_rows, tail_accepts = _TailRows(middle, tail_rows), _TailAccepts(middle, tail_accepts)
+        head_rows = _scaled(head, span)
         start += head.initial * span
-    head_accepting = head.accepting
     codes = [start]
     rows: list[tuple[int, ...]] = []
     h, r = divmod(start, span)
     accepting = [0] if h in head_accepting and tail_accepts[r] else []
     if stop and accepting:
         return Walk(codes, [-1], rows, accepting)
-    head_rows = head.delta if tail_rows is None else _scaled(head, span)
     if stop:
         parents = [-1]
         width = len(head.alphabet)

@@ -331,6 +331,16 @@ def test_lss_structured(capsys, pair_files):
     assert doc["witness"] == "10010"
 
 
+def test_lss_file_given_twice_changes_no_answer(capsys, pair_files):
+    a, b = pair_files
+    _, pair, _ = run_cli(capsys, "lss", "--dfa", str(a), "--dfa", str(b), "--format", "structured")
+    code, out, _ = run_cli(capsys, "lss", "--dfa", str(a), "--dfa", str(a), "--dfa", str(b), "--format", "structured")
+    assert code == 0
+    doc, expected = json.loads(out), json.loads(pair)
+    assert (doc["length"], doc["witness"]) == (expected["length"], expected["witness"]) == (5, "10010")
+    assert doc["components"] == 3
+
+
 @pytest.mark.parametrize("limit, expected_code", [(5, 2), (6, 0)])
 def test_lss_walk_limit_counts_the_product(capsys, monkeypatch, pair_files, limit, expected_code):
     a, b = pair_files  # 2 and 3 states

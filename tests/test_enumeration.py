@@ -225,6 +225,27 @@ def test_canonical_languages_cached_once_however_the_alphabet_is_passed(monkeypa
     assert calls == [(1, BINARY), (2, BINARY)]
 
 
+def test_search_rejects_a_duplicate_label_alphabet():
+    with pytest.raises(ValueError, match="alphabet labels must be distinct"):
+        tightness_search([2], alphabet=("0", "0"))
+
+
+def test_plain_tuple_alphabet_fills_the_cache_with_alphabets():
+    # A plain tuple equals BINARY, so both share one cache entry, whose DFAs
+    # must carry an Alphabet whoever fills it.
+    canonical_languages.cache_clear()
+    plain = canonical_languages(2, ("0", "1"))
+    assert canonical_languages(2, BINARY) is plain
+    assert all(type(d.alphabet) is Alphabet for d in plain)
+    assert all(type(d.alphabet) is Alphabet for d in enumerate_dfas(2, ("0", "1")))
+
+
+def test_list_alphabet_is_accepted():
+    assert canonical_languages(2, ["0", "1"]) == canonical_languages(2)
+    assert list(enumerate_dfas(2, ["a", "b"])) == list(enumerate_dfas(2, Alphabet(("a", "b"))))
+    assert tightness_search([2, 2], alphabet=["0", "1"]) == tightness_search([2, 2])
+
+
 def test_canonical_languages_sorted_deterministically():
     assert canonical_languages(2) == canonical_languages(2)
     langs = canonical_languages(2)

@@ -1,8 +1,8 @@
-import importlib
+import tracemalloc
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minword import (
     AlphabetMismatchError,
@@ -22,10 +22,6 @@ from minword import (
 from minword.product import walk
 
 from helpers import all_words, dfas, reachable_states, tuple_walk
-
-# The package exports the product() function under the module's name.
-product_module = importlib.import_module("minword.product")
-
 
 def test_single_component_is_identity():
     for d in (ones_mod_dfa(3), ramp_cycle_dfa(2, 4)):
@@ -117,12 +113,27 @@ def _code(tag, components):
 
 @st.composite
 def component_lists(draw):
-    """1 to 4 components of 1 to 4 states over one alphabet of 1 to 3 letters, any initial states."""
+    """1 to 5 components of 1 to 4 states over one alphabet of 1 to 3 letters, any initial states."""
     alphabet = Alphabet(("a", "b", "c")[: draw(st.integers(1, 3))])
-    return draw(st.lists(dfas(max_states=4, alphabet=alphabet), min_size=1, max_size=4))
+    return draw(st.lists(dfas(max_states=4, alphabet=alphabet), min_size=1, max_size=5))
+
+
+def _ring(states, initial, accepting):
+    """Symbol 0 steps q to q + 1 mod states, symbol 1 to q + 2 mod states."""
+    delta = tuple(((q + 1) % states, (q + 2) % states) for q in range(states))
+    return Dfa(states, BINARY, initial, frozenset(accepting), delta)
+
+
+_ONE = Dfa(1, BINARY, 0, frozenset({0}), ((0, 0),))
+_REPEATED = [_ring(3, 1, {0}), _ring(5, 4, {2}), _ring(5, 4, {2}), _ring(4, 0, {3})]
+_ONE_STATE_MIDDLE = [_ring(3, 1, {0}), _ONE, _ring(5, 2, {1})]
 
 
 @given(components=component_lists(), stop=st.booleans())
+@example(components=_REPEATED, stop=False)
+@example(components=_REPEATED, stop=True)
+@example(components=_ONE_STATE_MIDDLE, stop=False)
+@example(components=_ONE_STATE_MIDDLE, stop=True)
 @settings(max_examples=300, deadline=None)
 def test_walk_equals_tuple_walk(components, stop):
     found, oracle = walk(components, stop), tuple_walk(components, stop)
@@ -145,61 +156,6 @@ def test_walk_equals_tuple_walk(components, stop):
         assert product(components).tags == tuple(oracle.tags)
 
 
-def _recorded_memos(monkeypatch):
-    """Patch product's memo table to record each one a walk makes."""
-    made = []
-
-    class Recording(product_module._Memo):
-        def __init__(self, make):
-            super().__init__(make)
-            made.append(self)
-
-    monkeypatch.setattr(product_module, "_Memo", Recording)
-    return made
-
-
-def _ring(states, initial, accepting):
-    """Symbol 0 steps q to q + 1 mod states, symbol 1 to q + 2 mod states."""
-    delta = tuple(((q + 1) % states, (q + 2) % states) for q in range(states))
-    return Dfa(states, BINARY, initial, frozenset(accepting), delta)
-
-
-@pytest.mark.parametrize(
-    "depth, components",
-    [
-        (0, [_ring(3, 1, {1}), _ring(5, 4, {4}), _ring(5, 2, {2})]),
-        (1, [_ring(3, 1, {0}), _ring(5, 4, {1}), _ring(5, 2, {4})]),
-    ],
-)
-def test_stopping_walk_fills_the_tail_memo_only_where_it_goes(monkeypatch, depth, components):
-    # The tail (second and third components) has 5 * 5 = 25 states.  A walk
-    # stopping at depth 0 asks for the start's acceptance and no row.  One
-    # stopping at depth 1, on the second of the start's two successors,
-    # expands only the start.  Tail acceptance is asked only of states whose
-    # first component accepts, so of at most the states found.
-    made = _recorded_memos(monkeypatch)
-    found = walk(components, stop=True)
-    assert found.accepting == [len(found.codes) - 1] == [2 * depth]
-    tails = [code % 25 for code in found.codes]
-    rows, accepts = made
-    assert set(rows) == set(tails[:depth])
-    assert tails[-1] in accepts
-    assert set(accepts) <= set(tails)
-
-
-def test_full_walk_fills_the_tail_memo_with_reachable_tails_only(monkeypatch):
-    # The two 5-state rings step in lockstep, so the walk reaches 5 of their
-    # 25 tail states.
-    components = [_ring(3, 0, {0}), _ring(5, 0, {0}), _ring(5, 0, set())]
-    made = _recorded_memos(monkeypatch)
-    found = walk(components)
-    rows, accepts = made
-    tails = {code % 25 for code in found.codes}
-    assert set(rows) == tails
-    assert set(accepts) <= tails
-    assert len(tails) == 5
-
-
 def _parity_dfa(seed, half, parity):
     """A random half-state DFA doubled by the parity of the 0s read; accepts only that parity."""
     rng = Random(seed)
@@ -209,15 +165,25 @@ def _parity_dfa(seed, half, parity):
     return Dfa(2 * half, BINARY, 0, accepting, delta)
 
 
-def test_lss_builds_its_tail_memo_behind_the_largest_component(monkeypatch):
-    # Even and odd parity never meet, so the query walks the whole reachable
-    # product of the two 20-state DFAs.  Walked with the 1-state DFA first,
-    # their product would be the tail and its memo would keep a row for each
-    # of the walk's states; walked largest first, the tail is one 20-state
-    # DFA and the 1-state one.
-    one = Dfa(1, BINARY, 0, frozenset({0}), ((0, 0),))
-    a, b = _parity_dfa(1, 10, 0), _parity_dfa(2, 10, 1)
-    assert len(walk([a, b]).codes) > 20
-    made = _recorded_memos(monkeypatch)
-    assert intersection_lss([one, a, b]) is None
-    assert made and all(len(memo) <= 20 for memo in made)
+# Each query is empty, so its walk visits the whole reachable product: 9,104
+# states.  A walk keeps its codes, its parent links and the seen set, about
+# 140 bytes a state at this size whatever the components.  Keeping a row
+# per tail state as well, as a tail memo would, costs over 350.
+_EVEN, _ODD = _parity_dfa(1, 100, 0), _parity_dfa(2, 100, 1)
+
+
+@pytest.mark.parametrize(
+    "components",
+    [[_EVEN, _EVEN, _ODD], [_ONE, _EVEN, _ODD], [_EVEN, _ODD, _ONE]],
+    ids=["repeated", "one-state-first", "one-state-last"],
+)
+def test_lss_walk_memory_per_state_is_bounded(components):
+    states = len(walk(components, stop=True).codes)
+    assert states == 9_104
+    tracemalloc.start()
+    try:
+        assert intersection_lss(components) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * states

@@ -122,8 +122,8 @@ def test_fused_intersection_equals_composed(a, b, c):
 @given(components=st.lists(dfas(max_states=4), min_size=1, max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_intersection_is_invariant_under_permutation(components):
-    # product() walks the components in the order given; intersection_lss
-    # reorders them, largest first, so every order must give the same answer.
+    # The intersection does not depend on the components' order, and neither
+    # does the shortlex-least word of it.
     expected = shortest_accepted(product(components).dfa)
     for order in permutations(components):
         assert intersection_lss(list(order)) == expected
