@@ -11,60 +11,66 @@ import argparse
 import json
 import signal
 import sys
+from itertools import chain
 from math import prod
 
 from .automaton import format_word
-from .enumeration import BudgetExceededError, SearchReport, tightness_search
+from .enumeration import BudgetExceededError, tightness_search
 from .interchange import load_path, to_document
 from .reports import WitnessReport, build_witness_report, verify_range
 from .shortest import intersection_lss
 
 SCHEMA_VERSION = 1
-# witness and verify walk the products of (m, n) pairs, and lss the product
-# of its DFA files.  Each walk stops at its first accepting state.  Under
-# tracemalloc, empty queries over 3 letters peaked at about 115 bytes per
-# state with two 600-state files or one of them given twice, and 145 with a
-# 20-state third file (1,393,373 states), so this caps such walks at about
-# 0.5-0.6 GB.
+# witness and verify walk the product of each (m, n) pair, and lss the
+# product of its DFA files, each walk stopping at its first accepting state.
+# Under tracemalloc, empty queries over 3 letters peaked at about 115 bytes
+# per state with two 600-state files or one of them given twice, and 145
+# with a 20-state third file (1,393,373 states): 0.5-0.6 GB at this cap.
+# witness and verify also walk each chain in full, as state_complexity
+# minimizes it.  A chain has n <= m*n states, so the cap bounds those walks
+# too, though with the minimization they peak at about 750-810 bytes per state.
 MAX_WALK_STATES = 1 << 22
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-def _emit_json(command: str, fields: dict, args) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
-    if args.timestamp:
-        from datetime import datetime, timezone
+def _emit(args, command: str, fields: dict, text=None, reports=()) -> None:
+    """Print a command's answer in the format args asks for.
 
-        doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-    print(json.dumps(doc, indent=2))
+    structured is one JSON document: schema_version, command, the fields,
+    then a timestamp only with --timestamp.  csv is a header of the
+    WitnessReport fields, then one row per report.  text is the given lines,
+    or else one `key: value` line per field, `witness_dfas` as indented
+    compact JSON.
+    """
+    if args.format == "structured":
+        doc = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
+        if args.timestamp:
+            from datetime import datetime, timezone
 
+            doc["timestamp"] = datetime.now(timezone.utc).isoformat()
+        print(json.dumps(doc, indent=2))
+    elif args.format == "csv":
+        import csv
 
-def _emit_text(fields: dict) -> None:
-    """One `key: value` line per field; `witness_dfas` as indented compact JSON."""
-    for key, value in fields.items():
-        if key == "witness_dfas":
-            print("witness_dfas:")
-            for doc in value:
-                print(f"  {json.dumps(doc, separators=(',', ':'))}")
-        elif isinstance(value, list):
-            print(f"{key}: {','.join(map(str, value))}")
-        else:
-            print(f"{key}: {_fmt(value)}")
-
-
-def _emit_csv(reports: list[WitnessReport]) -> None:
-    """A header of the WitnessReport fields, then one row per report."""
-    import csv
-
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(WitnessReport._fields)
-    for report in reports:
-        writer.writerow(map(_fmt, report))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(WitnessReport._fields)
+        for report in reports:
+            writer.writerow(map(_fmt, report))
+    elif text is not None:
+        print(*text, sep="\n")
+    else:
+        for key, value in fields.items():
+            if key == "witness_dfas":
+                print("witness_dfas:")
+                for doc in value:
+                    print(f"  {json.dumps(doc, separators=(',', ':'))}")
+            elif isinstance(value, list):
+                print(f"{key}: {','.join(map(str, value))}")
+            else:
+                print(f"{key}: {_fmt(value)}")
 
 
 def _check_walk(states: int, what: str) -> None:
@@ -75,27 +81,16 @@ def _check_walk(states: int, what: str) -> None:
         )
 
 
-def _pair_sizes(m: int, n: int) -> tuple[int, int]:
-    """Check an (m, n) pair against the walk limit and order it so m <= n."""
+def cmd_witness(args) -> int:
+    m, n = args.m, args.n
     if m < 1 or n < 1:
         raise ValueError(f"sizes must be positive, got m={m}, n={n}")
     _check_walk(m * n, f"the ({m}, {n}) pair")
     if m > n:
         print(f"note: swapped sizes to m={n}, n={m}", file=sys.stderr)
-        return n, m
-    return m, n
-
-
-def cmd_witness(args) -> int:
-    m, n = _pair_sizes(args.m, args.n)
+        m, n = n, m
     report = build_witness_report(m, n)
-    row = report._asdict()
-    if args.format == "structured":
-        _emit_json("witness", row, args)
-    elif args.format == "csv":
-        _emit_csv([report])
-    else:
-        _emit_text(row)
+    _emit(args, "witness", report._asdict(), reports=[report])
     return 0 if report.passed else 1
 
 
@@ -107,32 +102,24 @@ def cmd_verify(args) -> int:
     _check_walk((total * total + squares) // 2, f"verify --max-n {args.max_n}")
     rows = verify_range(args.max_n)
     all_passed = all(r.passed for r in rows)
-    if args.format == "structured":
-        _emit_json(
-            "verify",
-            {
-                "max_n": args.max_n,
-                "rows": [r._asdict() for r in rows],
-                "all_passed": all_passed,
-            },
-            args,
-        )
-    elif args.format == "csv":
-        _emit_csv(rows)
-    else:
-        header = f"{'m':>3} {'n':>3} {'expected':>9} {'lss':>9} {'sc_ones':>7} {'sc_ramp':>7} {'formula_ok':>10} {'passed':>6}"
-        print(header)
-        for r in rows:
-            print(
-                f"{r.m:>3} {r.n:>3} {r.expected:>9} {r.lss:>9} {r.sc_ones:>7} {r.sc_ramp:>7} "
-                f"{_fmt(r.formula_word_accepted):>10} {_fmt(r.passed):>6}"
-            )
-        print(f"{len(rows)} pairs, {'all passed' if all_passed else 'FAILURES present'}")
+    # The table is lazy, so structured and csv output never format it.
+    line = "{:>3} {:>3} {:>9} {:>9} {:>7} {:>7} {:>10} {:>6}".format
+    table = chain(
+        [line("m", "n", "expected", "lss", "sc_ones", "sc_ramp", "formula_ok", "passed")],
+        (
+            line(r.m, r.n, r.expected, r.lss, r.sc_ones, r.sc_ramp, _fmt(r.formula_word_accepted), _fmt(r.passed))
+            for r in rows
+        ),
+        [f"{len(rows)} pairs, {'all passed' if all_passed else 'FAILURES present'}"],
+    )
+    fields = {"max_n": args.max_n, "rows": [r._asdict() for r in rows], "all_passed": all_passed}
+    _emit(args, "verify", fields, table, rows)
     return 0 if all_passed else 1
 
 
-def _search_fields(report: SearchReport) -> dict:
-    return {
+def cmd_search(args) -> int:
+    report = tightness_search(args.sizes)
+    fields = {
         "sizes": list(report.sizes),
         "target": report.target,
         "max_lss": report.max_lss,
@@ -143,15 +130,7 @@ def _search_fields(report: SearchReport) -> dict:
         "witness_word": format_word(report.witness_dfas[0].alphabet, report.witness_word),
         "witness_dfas": [to_document(d) for d in report.witness_dfas],
     }
-
-
-def cmd_search(args) -> int:
-    report = tightness_search(args.sizes)
-    fields = _search_fields(report)
-    if args.format == "structured":
-        _emit_json("search", fields, args)
-    else:
-        _emit_text(fields)
+    _emit(args, "search", fields)
     return 0
 
 
@@ -159,20 +138,13 @@ def cmd_lss(args) -> int:
     dfas = [load_path(path) for path in args.dfa]
     _check_walk(prod(d.state_count for d in dfas), "the intersection")
     result = intersection_lss(dfas)
-    empty = result is None
-    fields = {
-        "components": len(dfas),
-        "empty": empty,
-        "length": None if empty else result.length,
-        "witness": None if empty else format_word(dfas[0].alphabet, result.witness),
-    }
-    if args.format == "structured":
-        _emit_json("lss", fields, args)
-    elif empty:
-        print("empty intersection")
-    else:
-        _emit_text({"length": fields["length"], "witness": fields["witness"]})
-    return 1 if empty else 0
+    fields = {"components": len(dfas), "empty": result is None, "length": None, "witness": None}
+    if result is None:
+        _emit(args, "lss", fields, ["empty intersection"])
+        return 1
+    fields.update(length=result.length, witness=format_word(dfas[0].alphabet, result.witness))
+    _emit(args, "lss", fields, [f"{key}: {fields[key]}" for key in ("length", "witness")])
+    return 0
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -230,8 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, BudgetExceededError, OSError) as exc:

@@ -498,6 +498,73 @@ witness_dfas:
   {"states":2,"alphabet":["0","1"],"initial":0,"accepting":[1],"delta":[[0,1],[0,0]]}
 """
 
+_SEARCH_1_TEXT = """\
+sizes: 1
+target: 0
+max_lss: 0
+attained: true
+tuples_examined: 1
+tuples_skipped: 1
+languages_per_size: 2
+witness_word: 
+witness_dfas:
+  {"states":1,"alphabet":["0","1"],"initial":0,"accepting":[0],"delta":[[0,0]]}
+"""
+
+_VERIFY_2_TEXT = """\
+  m   n  expected       lss sc_ones sc_ramp formula_ok passed
+  1   1         0         0       1       1       true   true
+  1   2         1         1       1       2       true   true
+  2   2         3         3       2       2       true   true
+3 pairs, all passed
+"""
+
+_VERIFY_2_CSV = """\
+m,n,expected,lss,witness,formula_word,formula_word_accepted,sc_ones,sc_ramp,passed
+1,1,0,0,,,true,1,1,true
+1,2,1,1,0,0,true,1,2,true
+2,2,3,3,101,101,true,2,2,true
+"""
+
+_REPORT_KEYS = _WITNESS_2_3_CSV.splitlines()[0].split(",")
+
+
+def _structured(command, **fields):
+    """The structured document: two-space indented JSON, keys in this order."""
+    return json.dumps({"schema_version": 1, "command": command, **fields}, indent=2) + "\n"
+
+
+_WITNESS_2_3_STRUCTURED = _structured(
+    "witness", **dict(zip(_REPORT_KEYS, (2, 3, 5, 5, "10010", "10010", True, 2, 3, True)))
+)
+
+_VERIFY_2_STRUCTURED = _structured(
+    "verify",
+    max_n=2,
+    rows=[
+        dict(zip(_REPORT_KEYS, (1, 1, 0, 0, "", "", True, 1, 1, True))),
+        dict(zip(_REPORT_KEYS, (1, 2, 1, 1, "0", "0", True, 1, 2, True))),
+        dict(zip(_REPORT_KEYS, (2, 2, 3, 3, "101", "101", True, 2, 2, True))),
+    ],
+    all_passed=True,
+)
+
+_SEARCH_2_2_STRUCTURED = _structured(
+    "search",
+    sizes=[2, 2],
+    target=3,
+    max_lss=3,
+    attained=True,
+    tuples_examined=625,
+    tuples_skipped=51,
+    languages_per_size=[26, 26],
+    witness_word="101",
+    witness_dfas=[
+        {"states": 2, "alphabet": ["0", "1"], "initial": 0, "accepting": [0], "delta": [[0, 1], [1, 0]]},
+        {"states": 2, "alphabet": ["0", "1"], "initial": 0, "accepting": [1], "delta": [[0, 1], [0, 0]]},
+    ],
+)
+
 
 @pytest.mark.parametrize(
     "argv, expected_code, expected_out",
@@ -507,6 +574,27 @@ witness_dfas:
         (("search", "--sizes", "2,2"), 0, _SEARCH_2_2_TEXT),
         (("lss", "--dfa", "{ones}", "--dfa", "{ramp}"), 0, "length: 5\nwitness: 10010\n"),
         (("lss", "--dfa", "{empty}"), 1, "empty intersection\n"),
+        (("witness", "--m", "2", "--n", "3", "--format", "structured"), 0, _WITNESS_2_3_STRUCTURED),
+        (("verify", "--max-n", "2"), 0, _VERIFY_2_TEXT),
+        (("verify", "--max-n", "2", "--format", "csv"), 0, _VERIFY_2_CSV),
+        (("verify", "--max-n", "2", "--format", "structured"), 0, _VERIFY_2_STRUCTURED),
+        (("search", "--sizes", "2,2", "--format", "structured"), 0, _SEARCH_2_2_STRUCTURED),
+        (("search", "--sizes", "1"), 0, _SEARCH_1_TEXT),
+        (
+            ("lss", "--dfa", "{ones}", "--dfa", "{ramp}", "--format", "structured"),
+            0,
+            _structured("lss", components=2, empty=False, length=5, witness="10010"),
+        ),
+        (
+            ("lss", "--dfa", "{empty}", "--format", "structured"),
+            1,
+            _structured("lss", components=1, empty=True, length=None, witness=None),
+        ),
+        # --timestamp adds a field to structured output only.
+        (("witness", "--m", "2", "--n", "3", "--timestamp"), 0, _WITNESS_2_3_TEXT),
+        (("witness", "--m", "2", "--n", "3", "--format", "csv", "--timestamp"), 0, _WITNESS_2_3_CSV),
+        (("verify", "--max-n", "2", "--timestamp"), 0, _VERIFY_2_TEXT),
+        (("verify", "--max-n", "2", "--format", "csv", "--timestamp"), 0, _VERIFY_2_CSV),
     ],
 )
 def test_stdout_exact(capsys, tmp_path, pair_files, argv, expected_code, expected_out):
