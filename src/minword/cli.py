@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import sys
 from itertools import chain
@@ -27,8 +28,10 @@ SCHEMA_VERSION = 1
 # per state with two 600-state files or one of them given twice, and 145
 # with a 20-state third file (1,393,373 states): 0.5-0.6 GB at this cap.
 # witness and verify also walk each chain in full, as state_complexity
-# minimizes it.  A chain has n <= m*n states, so the cap bounds those walks
-# too, though with the minimization they peak at about 750-810 bytes per state.
+# minimizes it, and with the minimization peak at about 750-880 bytes per
+# chain state, some 8 walk states' worth.  So witness counts its longer chain,
+# of max(m, n) states, as 8 walk states a state; verify's chains have at most
+# 75 states.
 MAX_WALK_STATES = 1 << 22
 
 
@@ -86,6 +89,7 @@ def cmd_witness(args) -> int:
     if m < 1 or n < 1:
         raise ValueError(f"sizes must be positive, got m={m}, n={n}")
     _check_walk(m * n, f"the ({m}, {n}) pair")
+    _check_walk(8 * max(m, n), f"the {max(m, n)}-state chain, at 8 walk states a state,")
     if m > n:
         print(f"note: swapped sizes to m={n}, n={m}", file=sys.stderr)
         m, n = n, m
@@ -216,7 +220,17 @@ def entry() -> None:
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     # Labels are UTF-8 in DFA files, so they are on stdout too, whatever the locale.
     sys.stdout.reconfigure(encoding="utf-8")
-    sys.exit(main())
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's --help and usage errors
+        code = exc.code
+    # Exit without interpreter teardown: freeing every cached language and
+    # collecting garbage one last time would cost a large share of a short
+    # run, and the operating system reclaims the memory at once.  Nothing is
+    # left to flush but stdout and stderr, and atexit handlers do not run.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -115,6 +115,28 @@ def test_witness_over_walk_limit_fails_fast(capsys, monkeypatch):
     assert err == "error: the (2049, 2048) pair needs 4196352 states, over the walk limit of 4194304\n"
 
 
+@pytest.mark.parametrize("argv", [("--m", "1", "--n", "524289"), ("--m", "524289", "--n", "1")])
+def test_witness_over_chain_limit_fails_fast(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_witness_report called despite the chain limit")
+
+    monkeypatch.setattr(cli, "build_witness_report", refuse)
+    code, out, err = run_cli(capsys, "witness", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the 524289-state chain, at 8 walk states a state, needs 4194312 states,"
+        " over the walk limit of 4194304\n"
+    )
+
+
+def test_witness_chain_limit_admits_524288(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_witness_report", lambda m, n: reports.build_witness_report(1, 2))
+    code, _, err = run_cli(capsys, "witness", "--m", "1", "--n", "524288")
+    assert code == 0
+    assert err == ""
+
+
 def test_witness_fails_unless_state_complexities_are_m_and_n(capsys, monkeypatch):
     monkeypatch.setattr(reports, "state_complexity", lambda dfa: 1)
     code, out, _ = run_cli(capsys, "witness", "--m", "2", "--n", "3")
@@ -648,3 +670,42 @@ def test_closed_pipe_ends_silently():
     proc.stderr.close()
     assert proc.wait(timeout=60) == -signal.SIGPIPE
     assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    [
+        (("--help",), 0),
+        (("search", "--sizes", "x"), 2),
+        (("witness", "--m", "0", "--n", "2"), 2),
+        (("lss", "--dfa", "{empty}"), 1),
+        (("witness", "--m", "2", "--n", "3"), 0),
+        # 331 KB: the exit flushes the last of many buffers.
+        (("verify", "--max-n", "30", "--format", "structured"), 0),
+    ],
+    ids=["help", "usage-error", "input-error", "empty-lss", "witness", "verify-30"],
+)
+def test_console_exit_matches_main(capsys, monkeypatch, tmp_path, argv, expected_code):
+    # The console entry skips interpreter teardown; it must still write and
+    # exit exactly as main() does in-process.  argparse wraps --help to the
+    # terminal width, so both sides get the same one.  The child's stdout is
+    # buffered, as in a plain shell, so only the exit's flush writes its tail.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    empty = tmp_path / "empty.json"
+    save_path(Dfa(1, BINARY, 0, frozenset(), ((0, 0),)), empty)
+    argv = [arg.format(empty=empty) for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    out_path = tmp_path / "out"
+    with open(out_path, "wb") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "minword.cli", *argv], stdout=out, stderr=subprocess.PIPE, env=src_env(), timeout=60
+        )
+    assert code == expected_code
+    assert proc.returncode == code
+    assert out_path.read_bytes() == captured.out.encode()
+    assert proc.stderr == captured.err.encode()
