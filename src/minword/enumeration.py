@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import prod
-from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .automaton import Alphabet, BINARY, Dfa, Word
@@ -105,20 +104,21 @@ def canonical_languages(states: int, alphabet: Iterable[str] = BINARY) -> tuple[
     is that language's state complexity: no other k and no other candidate
     gives the same language.
 
-    Apartness is decided for all 2**k accepting sets of a table at once
-    (_apart_sets), with no refinement per candidate.  Two states p and q
-    are apart under accepting set F exactly when some word leads them to
-    one state in F and one outside it: the empty word when F holds exactly
-    one of them, else a first symbol a followed by a word that sets the
-    successors delta(p, a) and delta(q, a) apart.  So the sets under which
-    each pair is apart solve apart(p, q) = SEP(p, q) | OR_a apart(delta(p,
-    a), delta(q, a)), and they are its least solution: any solution holds
-    SEP, and by induction on the length of a shortest separating word it
-    holds every F under which p and q are apart.  Updating pairs by the
-    equation, from SEP and in any order, only adds bits the least solution
-    holds and stops at a solution, so it stops at exactly the apart sets.
-    That is Moore refinement run on every accepting set at once, one bit
-    each.  A table's kept sets are those under which every pair is apart.
+    Apartness is decided for all k-state tables and all 2**k accepting sets
+    of each at once (_apart_columns), with no refinement per candidate.
+    Two states p and q are apart under accepting set F exactly when some
+    word leads them to one state in F and one outside it: the empty word
+    when F holds exactly one of them, else a first symbol a followed by a
+    word that sets the successors delta(p, a) and delta(q, a) apart.  So
+    the sets under which each pair is apart solve apart(p, q) = SEP(p, q)
+    | OR_a apart(delta(p, a), delta(q, a)), and they are its least
+    solution: any solution holds SEP, and by induction on the length of a
+    shortest separating word it holds every F under which p and q are
+    apart.  Updating pairs by the equation, from SEP and in any order, only
+    adds bits the least solution holds and stops at a solution, so it stops
+    at exactly the apart sets.  That is Moore refinement run on every table
+    and accepting set at once, one bit each.  A table's kept sets are those
+    under which every pair is apart.
 
     Ordered by serialized canonical form (interchange.dumps), so downstream
     iteration order is reproducible: by state count, then the JSON text of
@@ -139,56 +139,99 @@ def canonical_languages(states: int, alphabet: Iterable[str] = BINARY) -> tuple[
     return _canonical_languages(states, Alphabet(alphabet))
 
 
-def _apart_sets(delta: Sequence[Sequence[int]], inside: Sequence[int]) -> int:
-    """The accepting sets under which all states of delta are apart, as bits.
+def _apart_columns(tables: Sequence[Sequence[Sequence[int]]]) -> list[bytes]:
+    """For each accepting set F, one byte per table: nonzero when F keeps all states apart.
 
-    Bit F of an int stands for the accepting set {q : bit q of F is set},
-    and inside[q] holds the bits F of the sets containing q.  Iterates
-    apart(p, q) = SEP(p, q) | OR_a apart(delta(p, a), delta(q, a)) from
-    SEP(p, q) = inside[p] ^ inside[q] up to its least fixed point, the sets
-    under which p and q accept different words (see canonical_languages),
-    and returns the AND of it over all pairs p < q.
+    tables is a nonempty list of k-state tables over one alphabet; entry F
+    of the result has byte t nonzero exactly when every two states of
+    tables[t] are apart under the accepting set {q : bit q of F is set}.
+    One bit-sliced pass over the whole list runs the refinement of
+    canonical_languages on every table and every set at once.  Each state
+    pair p < q holds one int with a field of 2**k bits per table, padded to
+    at least one byte: bit F of table t's field is set when p and q are
+    apart under F.  It starts at SEP(p, q), (inside[p] ^ inside[q]) times
+    the int with bit 0 of every field set, where inside[q] holds the bits F
+    of the sets containing q.  A sweep ORs into each pair, for each symbol
+    a and each pair j, apart[j] masked to the fields of the tables whose
+    successor pair (delta(p, a), delta(q, a)) is j; sweeps run until one
+    changes nothing.  A table's kept sets are the AND over its pairs.
+
+    The successor pairs of every table are read off one flat byte table of
+    the transitions, one byte column per (pair, symbol): the code s * k + t
+    of its successor pair, the smaller state first, and 0 for s = t, whose
+    apart int stays zero.  The columns are kept, each byte repeated to its
+    field's width; the masks are rebuilt from them on every sweep, one
+    translate each, since keeping them would take k * k times the memory.
+    A code must fit in one byte, so k <= 16 (and each field is 2**k bits);
+    the enumeration cannot finish past 9 states anyway.
     """
-    k = len(delta)
-    apart = [0] * (k * k)  # apart[p * k + q], symmetric; zero on the diagonal
+    k, width, count = len(tables[0]), len(tables[0][0]), len(tables)
+    cells, sets = k * width, 1 << k
+    size = max(sets // 8, 1)
+    ones = int.from_bytes(b"\x01".ljust(size, b"\x00") * count, "little")
+    inside = [sum(1 << f for f in range(sets) if f >> q & 1) for q in range(k)]
+    flat = bytes(itertools.chain.from_iterable(itertools.chain.from_iterable(tables)))
+    scaled = bytes(b * k & 255 for b in range(256))
+    # The code of successor pair (s, t), smaller state first; 0 for s = t.
+    ordered = bytearray(256)
+    for s in range(k):
+        for t in range(s + 1, k):
+            ordered[s * k + t] = ordered[t * k + s] = s * k + t
+    apart = [0] * (k * k)  # apart[p * k + q] for p < q; the rest stays zero
     pairs = []
     for p in range(k):
         for q in range(p + 1, k):
-            apart[p * k + q] = apart[q * k + p] = inside[p] ^ inside[q]
-            pairs.append((p * k + q, q * k + p, [s * k + t for s, t in zip(delta[p], delta[q])]))
+            apart[p * k + q] = (inside[p] ^ inside[q]) * ones
+            columns = []
+            for a in range(width):
+                # s * k + t fits a byte, so the two columns add as ints with
+                # no carry from one table's byte into the next.
+                codes = int.from_bytes(flat[p * width + a :: cells].translate(scaled), "little")
+                codes += int.from_bytes(flat[q * width + a :: cells], "little")
+                successors = codes.to_bytes(count, "little").translate(ordered)
+                column = bytearray(count * size)
+                for r in range(size):
+                    column[r::size] = successors
+                columns.append(column)
+            pairs.append((p * k + q, columns))
+    # translate(pick) turns a column into the mask of the fields holding j.
+    picks = [(j, bytes(255 if b == j else 0 for b in range(256))) for j, _ in pairs]
     changed = True
     while changed:
         changed = False
-        for pq, qp, successors in pairs:
+        for pq, columns in pairs:
             old = new = apart[pq]
-            for st in successors:
-                new |= apart[st]
+            for column in columns:
+                for j, pick in picks:
+                    new |= apart[j] & int.from_bytes(column.translate(pick), "little")
             if new != old:
-                apart[pq] = apart[qp] = new
+                apart[pq] = new
                 changed = True
-    kept = (1 << (1 << k)) - 1
-    for pq, _, _ in pairs:
+    kept = ((1 << sets) - 1) * ones
+    for pq, _ in pairs:
         kept &= apart[pq]
-    return kept
+    held = kept.to_bytes(count * size, "little")
+    bits = [bytes(b >> r & 1 for b in range(256)) for r in range(8)]
+    return [held[f // 8 :: size].translate(bits[f % 8]) for f in range(sets)]
 
 
 @lru_cache(maxsize=None)
 def _canonical_languages(states: int, alphabet: Alphabet) -> tuple[Dfa, ...]:
-    languages: list[Dfa] = []
+    groups: list[list[Dfa]] = []
+    new = tuple.__new__
     for k in range(1, states + 1):
         sets = range(1 << k)
-        inside = [sum(1 << f for f in sets if f >> q & 1) for q in range(k)]
-        groups: list[list[Dfa]] = [[] for _ in sets]
-        # enumerate_dfas yields each table's candidates consecutively, the
-        # f-th with accepting set f.
-        for delta, candidates in itertools.groupby(enumerate_dfas(k, alphabet), key=attrgetter("delta")):
-            kept = _apart_sets(delta, inside)
-            for f, d in enumerate(candidates):
-                if kept >> f & 1:
-                    groups[f].append(d)
+        # enumerate_dfas yields each table's 2**k candidates consecutively,
+        # the f-th with accepting set f.  Every candidate is drawn, so its
+        # yields still count them, but only the first of each gives its
+        # table; a kept candidate is made again from its table and set.
+        tables = [d.delta for d in itertools.islice(enumerate_dfas(k, alphabet), 0, None, 1 << k)]
+        columns = _apart_columns(tables)
         for f in sorted(sets, key=lambda f: (*[q for q in range(k) if f >> q & 1], k)):
-            languages += groups[f]
-    return tuple(languages)
+            accepting = frozenset(q for q in range(k) if f >> q & 1)
+            kept = itertools.compress(tables, columns[f])
+            groups.append([new(Dfa, (k, alphabet, 0, accepting, delta)) for delta in kept])
+    return tuple(itertools.chain.from_iterable(groups))
 
 
 canonical_languages.cache_clear = _canonical_languages.cache_clear  # type: ignore[attr-defined]
@@ -353,7 +396,7 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
     the fold: rows times the 64-bit words of a mask (checked before the
     first row).  The raw count overstates the build for size s: for each
     k <= s it fills only the accessible k-state tables, depth-first, and
-    decides all 2**k accepting sets of a table in one pass.
+    decides all of them, with all 2**k accepting sets each, in one pass.
     """
     sizes, alphabet = tuple(sizes), Alphabet(alphabet)
     if not sizes:

@@ -144,6 +144,40 @@ def moore_blocks(rows: Sequence[Sequence[int]], accepting: Sequence[bool]) -> tu
     return block, n_blocks
 
 
+def apart_sets(delta: Sequence[Sequence[int]], inside: Sequence[int]) -> int:
+    """The accepting sets under which all states of delta are apart, as bits.
+
+    Bit F of an int stands for the accepting set {q : bit q of F is set},
+    and inside[q] holds the bits F of the sets containing q.  Iterates
+    apart(p, q) = SEP(p, q) | OR_a apart(delta(p, a), delta(q, a)) from
+    SEP(p, q) = inside[p] ^ inside[q] up to its least fixed point, the sets
+    under which p and q accept different words (see canonical_languages),
+    and returns the AND of it over all pairs p < q.  One table at a time:
+    the oracle for the language build's pass over all tables of a size.
+    """
+    k = len(delta)
+    apart = [0] * (k * k)  # apart[p * k + q], symmetric; zero on the diagonal
+    pairs = []
+    for p in range(k):
+        for q in range(p + 1, k):
+            apart[p * k + q] = apart[q * k + p] = inside[p] ^ inside[q]
+            pairs.append((p * k + q, q * k + p, [s * k + t for s, t in zip(delta[p], delta[q])]))
+    changed = True
+    while changed:
+        changed = False
+        for pq, qp, successors in pairs:
+            old = new = apart[pq]
+            for st in successors:
+                new |= apart[st]
+            if new != old:
+                apart[pq] = apart[qp] = new
+                changed = True
+    kept = (1 << (1 << k)) - 1
+    for pq, _, _ in pairs:
+        kept &= apart[pq]
+    return kept
+
+
 class TupleWalk(NamedTuple):
     """tuple_walk's result: product states in discovery order (the start is 0)."""
 

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -23,7 +24,7 @@ from minword import (
 )
 from minword import enumeration
 
-from helpers import bfs_numbering, minimize_two_pass, moore_blocks, raw_dfas, scan_oracle
+from helpers import apart_sets, bfs_numbering, minimize_two_pass, moore_blocks, raw_dfas, scan_oracle
 
 
 TERNARY = Alphabet(("a", "b", "c"))
@@ -130,19 +131,86 @@ APART_CASES = [
 ]
 
 
+def _inside(states):
+    sets = range(1 << states)
+    return [sum(1 << f for f in sets if f >> q & 1) for q in range(states)]
+
+
 @pytest.mark.parametrize("states, alphabet, accessible", APART_CASES)
 def test_apart_sets_agree_with_moore_refinement(states, alphabet, accessible):
-    # The slow path checks the fast one: bit f of a table's apart sets is
-    # set exactly when Moore refinement under accepting set f leaves every
-    # state in its own block.
+    # The per-table fixed point, the oracle of the build's pass: bit f of a
+    # table's apart sets is set exactly when Moore refinement under
+    # accepting set f leaves every state in its own block.
     sets = range(1 << states)
-    inside = [sum(1 << f for f in sets if f >> q & 1) for q in range(states)]
     for delta in _tables(states, alphabet, accessible):
-        kept = enumeration._apart_sets(delta, inside)
+        kept = apart_sets(delta, _inside(states))
         assert kept >> len(sets) == 0
         for f in sets:
             apart = moore_blocks(delta, [f >> q & 1 for q in range(states)])[1] == states
             assert (kept >> f & 1) == apart, (delta, f)
+
+
+@pytest.mark.parametrize("states, alphabet, accessible", APART_CASES)
+def test_apart_columns_equal_the_per_table_fixed_point(states, alphabet, accessible):
+    # The pass over all tables at once decides every (table, set) as the
+    # per-table fixed point does: on the whole list, unreachable states
+    # included, on the list shuffled, and on each of the first 64 tables
+    # alone.
+    sets = range(1 << states)
+    tables = _tables(states, alphabet, accessible)
+    expected = {}
+    for delta in tables:
+        kept = apart_sets(delta, _inside(states))
+        expected[delta] = [kept >> f & 1 for f in sets]
+    shuffled = list(tables)
+    random.Random(states).shuffle(shuffled)
+    for some in [tables, shuffled] + [[delta] for delta in tables[:64]]:
+        columns = enumeration._apart_columns(some)
+        assert len(columns) == len(sets)
+        assert all(len(column) == len(some) for column in columns)
+        assert [[int(column[t] != 0) for column in columns] for t in range(len(some))] == [
+            expected[delta] for delta in some
+        ]
+
+
+def _per_table_build(states, alphabet):
+    # The build before the pass over all tables: one fixed point per table.
+    languages = []
+    for k in range(1, states + 1):
+        sets = range(1 << k)
+        groups = [[] for _ in sets]
+        for delta, candidates in itertools.groupby(enumerate_dfas(k, alphabet), key=lambda d: d.delta):
+            kept = apart_sets(delta, _inside(k))
+            for f, d in enumerate(candidates):
+                if kept >> f & 1:
+                    groups[f].append(d)
+        for f in sorted(sets, key=lambda f: (*[q for q in range(k) if f >> q & 1], k)):
+            languages += groups[f]
+    return tuple(languages)
+
+
+@pytest.mark.parametrize("states, alphabet", [(4, BINARY), (3, "abc")])
+def test_canonical_languages_equal_the_per_table_build(states, alphabet):
+    canonical_languages.cache_clear()
+    assert canonical_languages(states, alphabet) == _per_table_build(states, alphabet)
+
+
+def test_build_draws_every_candidate(monkeypatch):
+    # The traced benchmark's enumeration.raw_dfas counts the yields of
+    # enumerate_dfas: all 2 + 48 + 1,728 + 83,968 accessible candidates up
+    # to binary 4 states, the dropped ones too.
+    drawn, real = [0], enumeration.enumerate_dfas
+
+    def counting(*args):
+        for d in real(*args):
+            drawn[0] += 1
+            yield d
+
+    monkeypatch.setattr(enumeration, "enumerate_dfas", counting)
+    canonical_languages.cache_clear()
+    canonical_languages(4)
+    canonical_languages.cache_clear()
+    assert drawn == [85_746]
 
 
 def test_build_runs_no_refinement(monkeypatch):
@@ -574,6 +642,22 @@ def test_column_masks_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 3_000_000
+
+
+def test_apart_columns_peak_memory():
+    # The 5,248 binary 4-state tables: each of the 6 pairs' ints and 12
+    # successor columns holds 2 bytes a table, about 10 KB, and the masks
+    # are rebuilt every sweep, so the pass peaks at about 0.39 MB.  Keeping
+    # a mask per (pair, symbol, successor pair) instead would hold 72 such
+    # ints, about 0.76 MB more.
+    tables = [d.delta for d in itertools.islice(enumerate_dfas(4), 0, None, 16)]
+    tracemalloc.start()
+    try:
+        enumeration._apart_columns(tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600_000
 
 
 def test_mask_column_is_the_language_list(monkeypatch):
