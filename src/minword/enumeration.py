@@ -12,9 +12,10 @@ k-state DFAs numbered breadth-first, those whose states are all apart are
 exactly the canonical minimal DFAs of the languages of state complexity k.
 
 The longest list is the mask column: its languages are bits of Python ints,
-so one breadth-first pass over a row, a tuple of the other lists (folded
-into intersection classes where that is cheap), finds the shortest word of
-the row's intersection with every language of the column at once.
+read off the tables of the build with no DFA object made per language, so
+one breadth-first pass over a row, a tuple of the other lists (folded into
+intersection classes where that is cheap), finds the shortest word of the
+row's intersection with every language of the column at once.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def canonical_languages(states: int, alphabet: Iterable[str] = BINARY) -> tuple[
     the order would differ, but the enumeration cannot finish there anyway.
     A state count below 1 raises ValueError, and so does an alphabet that
     Alphabet rejects.  Cached per (states, alphabet), however the labels are
-    passed, and the DFAs carry an Alphabet; cache_clear empties the cache.
+    passed; the DFAs carry an Alphabet.  cache_clear empties every cache.
     """
     if states < 1:
         raise ValueError(f"state count must be positive, got {states}")
@@ -216,25 +217,39 @@ def _apart_columns(tables: Sequence[Sequence[Sequence[int]]]) -> list[bytes]:
 
 
 @lru_cache(maxsize=None)
-def _canonical_languages(states: int, alphabet: Alphabet) -> tuple[Dfa, ...]:
-    groups: list[list[Dfa]] = []
-    new = tuple.__new__
+def _build(states: int, alphabet: Alphabet) -> tuple[tuple[int, int, list, bytes], ...]:
+    """The groups of canonical_languages(states, alphabet), in its order.
+
+    One (k, f, tables, kept) per k = 1..states and accepting set f: the
+    k-state tables, one list for all of k's groups, and f's _apart_columns
+    entry, nonzero at the tables it keeps.  enumerate_dfas yields each
+    table's 2**k candidates in a row: all are drawn, so its yields count
+    them, and the first of each gives the table.
+    """
+    groups = []
     for k in range(1, states + 1):
-        sets = range(1 << k)
-        # enumerate_dfas yields each table's 2**k candidates consecutively,
-        # the f-th with accepting set f.  Every candidate is drawn, so its
-        # yields still count them, but only the first of each gives its
-        # table; a kept candidate is made again from its table and set.
         tables = [d.delta for d in itertools.islice(enumerate_dfas(k, alphabet), 0, None, 1 << k)]
         columns = _apart_columns(tables)
-        for f in sorted(sets, key=lambda f: (*[q for q in range(k) if f >> q & 1], k)):
-            accepting = frozenset(q for q in range(k) if f >> q & 1)
-            kept = itertools.compress(tables, columns[f])
-            groups.append([new(Dfa, (k, alphabet, 0, accepting, delta)) for delta in kept])
-    return tuple(itertools.chain.from_iterable(groups))
+        order = sorted(range(1 << k), key=lambda f: (*[q for q in range(k) if f >> q & 1], k))
+        groups += [(k, f, tables, columns[f]) for f in order]
+    return tuple(groups)
 
 
-canonical_languages.cache_clear = _canonical_languages.cache_clear  # type: ignore[attr-defined]
+@lru_cache(maxsize=None)
+def _canonical_languages(states: int, alphabet: Alphabet) -> tuple[Dfa, ...]:
+    languages: list[Dfa] = []
+    for k, f, tables, kept in _build(states, alphabet):
+        accepting = frozenset(q for q in range(k) if f >> q & 1)
+        languages += [tuple.__new__(Dfa, (k, alphabet, 0, accepting, d)) for d in itertools.compress(tables, kept)]
+    return tuple(languages)
+
+
+def _cache_clear() -> None:
+    for cached in (_build, _canonical_languages, _mask_column):
+        cached.cache_clear()
+
+
+canonical_languages.cache_clear = _cache_clear  # type: ignore[attr-defined]
 
 
 class SearchReport(NamedTuple):
@@ -251,54 +266,48 @@ class SearchReport(NamedTuple):
     languages_per_size: tuple[int, ...]
 
 
-def _column_masks(languages: Sequence[Dfa]) -> tuple[list, list[int]]:
-    """The languages of a list as bits of ints: bit i stands for language i.
+def _nonempty_language(states: int, alphabet: Alphabet, index: int) -> Dfa:
+    """[d for d in canonical_languages(states, alphabet) if d.accepting][index], from the build."""
+    for k, f, tables, kept in _build(states, alphabet):
+        count = kept.count(1) if f else 0
+        if index < count:
+            delta = next(itertools.islice(itertools.compress(tables, kept), index, None))
+            return Dfa(k, alphabet, 0, frozenset(q for q in range(k) if f >> q & 1), delta)
+        index -= count
+    raise IndexError(f"no nonempty language {index} of size <= {states}")
 
-    Returns (moves, accepts): moves[l][a] lists the (l2, mask) pairs whose
-    mask holds the languages with delta(l, a) = l2, and accepts[l] the
-    languages accepting l.  Every language is a minimized DFA (a canonical
-    language or the full one), and minimize numbers states from the initial
-    one, so every language starts at state 0.
 
-    The column is one flat byte table of one record per language, last
-    language first: its targets, delta(l, a) at l * width + a, padded with
-    255 where the language has no state l, then one byte per state l, "1"
-    if it accepts l and "0" if not.  Each target half is built once per
-    distinct table and each flag half once per accepting set (the 57,067
-    nonempty languages of size <= 4 have 5,443 tables).  The step slice of
-    the table at the offset of one (l, a) is the targets of every
-    language, and it reads as a base-2 numeral once each byte is turned
-    into a digit; the slice at the offset of one l's flag is accepts[l]'s
-    numeral as it stands.  The padding needs every language to have fewer
-    than 255 states, which SEARCH_BUDGET keeps to 6 or fewer (unary 7
-    states alone is 7**7 * 2**7 > 10**8 raw DFAs).
+@lru_cache(maxsize=None)
+def _mask_column(states: int, alphabet: Alphabet) -> tuple[list, list[int]]:
+    """The nonempty languages of size <= states as bits of ints: bit i stands for language i.
+
+    Language i is [d for d in canonical_languages(states, alphabet) if
+    d.accepting][i], read off the build with no object made for it.
+    moves[l][a] lists the (l2, mask) pairs whose mask holds the languages
+    with delta(l, a) = l2, and accepts[l] the languages accepting l.  The
+    tables of each nonempty group are joined, last group first; its
+    reversed step slice at (l, a), or 255s when k <= l, reads as a base-2
+    numeral once each byte is made a digit (SEARCH_BUDGET keeps k <= 6).
     """
-    states = max(d.state_count for d in languages)
-    width = len(languages[0].alphabet)
-    cells = states * width
-    stride = cells + states
-    targets: dict[tuple[tuple[int, ...], ...], bytes] = {}
-    flags: dict[frozenset[int], bytes] = {}
-    # Appended in place: bytes.join would hold a buffer view of every record
-    # at once, a tracemalloc peak of over 6 MB, not 1.4 MB, at size 4.
-    table = bytearray()
-    for d in reversed(languages):
-        if (row := targets.get(d.delta)) is None:
-            row = targets[d.delta] = bytes(itertools.chain.from_iterable(d.delta)).ljust(cells, b"\xff")
-        if (bits := flags.get(d.accepting)) is None:
-            bits = flags[d.accepting] = bytes(49 if l in d.accepting else 48 for l in range(states))
-        table += row
-        table += bits
+    width = len(alphabet)
+    groups, records = [], {}  # groups: (k, f, kept tables' bytes, their count), last language first
+    for k, f, tables, kept in _build(states, alphabet):
+        rows = records.get(k) or records.setdefault(k, [bytes(itertools.chain.from_iterable(t)) for t in tables])
+        if f and (joined := b"".join(itertools.compress(rows, kept))):
+            groups.insert(0, (k, f, joined, len(joined) // (k * width)))
     digits = [bytes(49 if b == l2 else 48 for b in range(256)) for l2 in range(states)]
     moves = []
     for l in range(states):
         by_symbol = []
         for a in range(width):
-            column = table[l * width + a :: stride]
+            column = b"".join(
+                kept[((count - 1) * k + l) * width + a :: -k * width] if l < k else b"\xff" * count
+                for k, _, kept, count in groups
+            )
             masks = [int(column.translate(digits[l2]), 2) for l2 in range(states)]
             by_symbol.append([(l2, mask) for l2, mask in enumerate(masks) if mask])
         moves.append(by_symbol)
-    accepts = [int(table[cells + l :: stride], 2) for l in range(states)]
+    accepts = [int(b"".join(b"%d" % (f >> l & 1) * count for _, f, _, count in groups), 2) for l in range(states)]
     return moves, accepts
 
 
@@ -360,43 +369,39 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
     The search works on the nonempty language lists of the sizes above 1.
     A size-1 component has no list and index 0 in the witness key: its only
     nonempty language is the full one, which leaves every intersection as
-    it is.  The mask column is the longest list, the last such one on a
-    tie, used as is: bit i of a mask stands for its language i.  With no
-    size above 1 it is the full language alone.  Every other list becomes a
-    column of (key, dfa) entries in key order, language i under key (i,).
-    Every meet, of a fold pair or of a row of several columns, is one
-    minimize call on its languages; a row of one column is its one entry.
+    it is.  The mask column is the longest list, the largest size's, the
+    last on a tie, and the full language alone with no size above 1.  Its
+    masks come from the language build (_mask_column), bit i for language
+    i, and only the witness's language of it becomes a Dfa.  Each other
+    list, from canonical_languages, is a column of (key, dfa) entries in
+    key order, language i under key (i,).  Every meet, of a fold pair or of
+    a row of several columns, is one minimize call on its languages; a row
+    of one column is its one entry.
 
     A tuple's lss depends only on its intersection language, so while more
     than one other column remains and the first two meet at most
     MAX_FOLD_PRODUCTS pairs, they are folded into one column of intersection
-    classes; the cap bounds the classes held.  A class's key is the
-    concatenated keys of a pair reaching it.  Pairs are visited in key
-    order, so the first key stored for a class is its least: a key reaching
-    it extends some key k of an entry C of the first column, C's least key
-    is no larger than k, and the same extension of it reaches the same
-    intersection.  A row is one tuple of the other columns, in key order
-    (with none left, the one row is the full language).  One _row_pass on
-    the meet of a row gives its maximum over the whole mask column and the
-    least mask language attaining it, whose index goes in at the mask
-    column's place.  A least key attaining the maximum is a class's least
-    key with the same mask language, so the search keeps the first strictly
-    larger maximum and, on a tie, the least full key.  Only when the mask
-    column is last is that the first row, so only then does the search stop
-    at the target prod(sizes) - 1, which no lss exceeds.  The shortlex-least
-    witness word depends only on the intersection; one stopping walk of the
-    witness tuple spells it.
+    classes.  A class's key is the concatenated keys of the first pair
+    reaching it in key order, its least: a key reaching it extends some key
+    k of an entry C of the first column, C's least key is no larger than k,
+    and the same extension of it reaches the same intersection.  A row is
+    one tuple of the other columns, in key order (with none left, the full
+    language).  One _row_pass on the meet of a row gives its maximum over
+    the mask column and the least mask language attaining it, whose index
+    goes in at the mask column's place.  A least key attaining the maximum
+    is a class's least key with the same mask language, so the search keeps
+    the first strictly larger maximum and, on a tie, the least full key.
+    Only when the mask column is last is that the first row, so only then
+    does it stop at the target prod(sizes) - 1, which no lss exceeds.  One
+    stopping walk of the witness tuple spells the shortlex-least witness.
 
     Products over MAX_PRODUCT_STATES states are refused, and so are more
-    than MAX_PRODUCT_STATES components: a product within the limit has at
-    most 6 components above size 1, so the rest is size-1 padding.
-    SEARCH_BUDGET bounds both the raw DFAs behind the language lists,
+    than MAX_PRODUCT_STATES components: within the limit at most 6 are
+    above size 1.  SEARCH_BUDGET bounds the raw DFAs behind the lists,
     s**(s*|alphabet|) tables times 2**s accepting sets per size s (checked,
-    like the limits above, before any enumeration), and the work left after
-    the fold: rows times the 64-bit words of a mask (checked before the
-    first row).  The raw count overstates the build for size s: for each
-    k <= s it fills only the accessible k-state tables, depth-first, and
-    decides all of them, with all 2**k accepting sets each, in one pass.
+    like the limits above, before any enumeration, though the build fills
+    only the accessible tables), and the rows left after the fold times the
+    64-bit words of a mask (checked before the first row).
     """
     sizes, alphabet = tuple(sizes), Alphabet(alphabet)
     if not sizes:
@@ -417,24 +422,19 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
             f"search needs {raw} raw DFAs enumerated, over the budget of {SEARCH_BUDGET}"
         )
 
-    all_lists = [canonical_languages(s, alphabet) for s in sizes]
-    languages_per_size = tuple(len(lst) for lst in all_lists)
-    # Minimized DFAs have only reachable states, so a language is nonempty
-    # exactly when its DFA has an accepting state.
-    nonempty_lists = tuple(tuple(d for d in lst if d.accepting) for lst in all_lists)
-    total = prod(languages_per_size)
-    examined = prod(len(lst) for lst in nonempty_lists)
+    # Every state is reachable, so only the empty set gives an empty language,
+    # and it keeps only the 1-state table: one empty language per size.
+    nonempty = [sum(kept.count(1) for _, f, _, kept in _build(s, alphabet) if f) for s in sizes]
+    languages_per_size = tuple(n + 1 for n in nonempty)
 
-    # The full language stands in for a missing list: as the mask list when
-    # no size exceeds 1 (its spliced key (0,) is then never read, because
-    # every component takes index 0), and as the one row when no other
-    # column is left (its empty key adds nothing).
+    # The full language stands in for the mask list when no size exceeds 1
+    # (its key (0,) is never read) and as the one row when no column is left.
     full = Dfa(1, alphabet, 0, frozenset((0,)), ((0,) * len(alphabet),))
-    lists = [lst for s, lst in zip(sizes, nonempty_lists) if s > 1] or [(full,)]
-    place = max(range(len(lists)), key=lambda c: (len(lists[c]), c))
-    masked = lists.pop(place)
-    masked_last = place == len(lists)
-    columns = [[((i,), d) for i, d in enumerate(lst)] for lst in lists]
+    listed, masked, mask_bits = [s for s in sizes if s > 1], max(sizes), max(nonempty)
+    place = max((c for c, s in enumerate(listed) if s == masked), default=0)
+    others = listed[:place] + listed[place + 1 :]
+    lists = {s: tuple(d for d in canonical_languages(s, alphabet) if d.accepting) for s in others}
+    columns = [[((i,), d) for i, d in enumerate(lists[s])] for s in others]
     while len(columns) > 1 and len(columns[0]) * len(columns[1]) <= MAX_FOLD_PRODUCTS:
         folded: dict[Dfa, tuple[int, ...]] = {}
         for (key, a), (tail, b) in itertools.product(columns[0], columns[1]):
@@ -443,7 +443,7 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
                 folded.setdefault(meet, key + tail)
         columns[:2] = [[(key, d) for d, key in folded.items()]]
     columns = columns or [[((), full)]]
-    rows, words = prod(len(column) for column in columns), -(-len(masked) // 64)
+    rows, words = prod(len(column) for column in columns), -(-mask_bits // 64)
     if rows * words > SEARCH_BUDGET:
         raise BudgetExceededError(
             f"search needs {rows * words} row words ({rows} rows of a {words}-word mask), "
@@ -451,8 +451,8 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
         )
 
     target = prod(sizes) - 1
-    moves, accepts = _column_masks(masked)
-    everything = (1 << len(masked)) - 1
+    moves, accepts = _mask_column(masked, alphabet)
+    everything = (1 << mask_bits) - 1
     best_lss, best_key = -1, ()
     for row in itertools.product(*columns):
         keys, dfas = zip(*row)
@@ -466,11 +466,11 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
         key = (*row_key[:place], (resolved & -resolved).bit_length() - 1, *row_key[place:])
         if lss > best_lss or key < best_key:
             best_lss, best_key = lss, key
-            if best_lss == target and masked_last:
+            if best_lss == target and place >= len(listed) - 1:
                 break
 
-    keys = iter(best_key)
-    witness_dfas = tuple(lst[next(keys) if s > 1 else 0] for s, lst in zip(sizes, nonempty_lists))
+    picked = [lists[s][i] if s in lists else _nonempty_language(s, alphabet, i) for s, i in zip(listed, best_key)]
+    witness_dfas = tuple(picked.pop(0) if s > 1 else full for s in sizes)
     return SearchReport(
         sizes=sizes,
         target=target,
@@ -478,7 +478,7 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
         witness_dfas=witness_dfas,
         witness_word=intersection_lss(witness_dfas).witness,
         attained=best_lss == target,
-        tuples_examined=examined,
-        tuples_skipped=total - examined,
+        tuples_examined=prod(nonempty),
+        tuples_skipped=prod(languages_per_size) - prod(nonempty),
         languages_per_size=languages_per_size,
     )

@@ -178,6 +178,44 @@ def apart_sets(delta: Sequence[Sequence[int]], inside: Sequence[int]) -> int:
     return kept
 
 
+def column_masks(languages: Sequence[Dfa]) -> tuple[list, list[int]]:
+    """The languages of a list as bits of ints: bit i stands for language i.
+
+    Returns (moves, accepts) in the form of the search's mask column:
+    moves[l][a] lists the (l2, mask) pairs whose mask holds the languages
+    with delta(l, a) = l2, and accepts[l] the languages accepting l.  Every
+    language starts at state 0.  An oracle for the column the search reads
+    off the language build: this one is made from the DFAs themselves.
+
+    One flat byte table of one record per language, last language first:
+    its targets, delta(l, a) at l * width + a, padded with 255 where the
+    language has no state l, then one byte per state l, "1" if it accepts l
+    and "0" if not.  The step slice of the table at the offset of one
+    (l, a) is the targets of every language, and it reads as a base-2
+    numeral once each byte is turned into a digit; the slice at the offset
+    of one l's flag is accepts[l]'s numeral as it stands.
+    """
+    states = max(d.state_count for d in languages)
+    width = len(languages[0].alphabet)
+    cells = states * width
+    stride = cells + states
+    table = bytearray()
+    for d in reversed(languages):
+        table += bytes(itertools.chain.from_iterable(d.delta)).ljust(cells, b"\xff")
+        table += bytes(49 if l in d.accepting else 48 for l in range(states))
+    digits = [bytes(49 if b == l2 else 48 for b in range(256)) for l2 in range(states)]
+    moves = []
+    for l in range(states):
+        by_symbol = []
+        for a in range(width):
+            column = table[l * width + a :: stride]
+            masks = [int(column.translate(digits[l2]), 2) for l2 in range(states)]
+            by_symbol.append([(l2, mask) for l2, mask in enumerate(masks) if mask])
+        moves.append(by_symbol)
+    accepts = [int(table[cells + l :: stride], 2) for l in range(states)]
+    return moves, accepts
+
+
 class TupleWalk(NamedTuple):
     """tuple_walk's result: product states in discovery order (the start is 0)."""
 

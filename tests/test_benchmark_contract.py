@@ -84,6 +84,35 @@ def test_traced_run_denominators_are_nonzero(monkeypatch):
     assert summary.layer_calls("shortest") > 0
 
 
+def test_cache_clear_empties_every_search_cache():
+    # The traced run clears canonical_languages' cache before each timed
+    # pass; a cache it left full would make the pass skip the build.
+    enumeration = sys.modules["minword.enumeration"]
+    caches = [f for f in vars(enumeration).values() if callable(getattr(f, "cache_info", None))]
+    assert len(caches) >= 3
+    tightness_search([2, 3])
+    assert all(f.cache_info().currsize for f in caches)
+    minword.canonical_languages.cache_clear()
+    assert [f.cache_info().currsize for f in caches] == [0] * len(caches)
+
+
+def test_mask_only_search_draws_every_candidate(monkeypatch):
+    # search --sizes 4 makes no canonical_languages call, but the traced
+    # enumeration.raw_dfas still counts every candidate its build draws: at
+    # size 3, 2 + 48 + 1,728.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    recorded = spans.Spans()
+    patch = spans.Patch(recorded)
+    patch.install()
+    try:
+        minword.canonical_languages.cache_clear()
+        tightness_search([3])
+    finally:
+        patch.undo()
+    assert recorded.counters["enumeration.enumerate_dfas"] == 1778
+
+
 def test_cli_main_returns_exit_code(capsys):
     code = cli.main(["witness", "--m", "2", "--n", "3", "--format", "structured"])
     assert type(code) is int and code == 0

@@ -263,6 +263,23 @@ def test_search_3_4_structured_digest(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "sizes, digest",
+    [
+        # The mask column and a column share one language build.
+        ("3,3", "01fe9dfadfafa7769d9733477706a4f817e722cfd28fdcfbcdd7837816d89c20"),
+        # The mask column is not last, so the search cannot stop at the target.
+        ("2,3,2", "a569d0ad9f2d2fb4437f0ed6cc26659799f6e789b873b2ac20ed1e4476d18b0d"),
+        # Size-1 padding on both sides of the mask column.
+        ("1,3,1", "9e477d4428ae68b25d40691d95fd18731e077b88a5b0c2990dfdc31512c55486"),
+    ],
+)
+def test_search_mask_placement_structured_digest(capsys, sizes, digest):
+    code, out, _ = run_cli(capsys, "search", "--sizes", sizes, "--format", "structured")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_search_csv_unsupported(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["search", "--sizes", "2,2", "--format", "csv"])

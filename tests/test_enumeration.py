@@ -24,7 +24,7 @@ from minword import (
 )
 from minword import enumeration
 
-from helpers import apart_sets, bfs_numbering, minimize_two_pass, moore_blocks, raw_dfas, scan_oracle
+from helpers import apart_sets, bfs_numbering, column_masks, minimize_two_pass, moore_blocks, raw_dfas, scan_oracle
 
 
 TERNARY = Alphabet(("a", "b", "c"))
@@ -608,40 +608,76 @@ def test_fold_stops_before_a_step_over_the_cap(monkeypatch):
 
 @pytest.mark.parametrize("states, alphabet", ORACLE_CASES + [pytest.param(None, BINARY, id="full")])
 def test_column_masks_oracle(states, alphabet):
-    # Bit i of a mask stands for language i, set one language at a time.
+    # Bit i of a mask stands for nonempty language i, set one language at a
+    # time.  The full language alone is the size-1 column, the mask column of
+    # a search with no size above 1.
     if states is None:
-        languages = (_full_language(),)
+        states, languages = 1, (_full_language(),)
     else:
         languages = tuple(d for d in canonical_languages(states, alphabet) if d.accepting)
-    top = max(d.state_count for d in languages)
-    expected_moves = [[[0] * top for _ in alphabet] for _ in range(top)]
-    expected_accepts = [0] * top
+    expected_moves = [[[0] * states for _ in alphabet] for _ in range(states)]
+    expected_accepts = [0] * states
     for i, d in enumerate(languages):
         for l, row in enumerate(d.delta):
             for a, l2 in enumerate(row):
                 expected_moves[l][a][l2] |= 1 << i
         for l in d.accepting:
             expected_accepts[l] |= 1 << i
-    moves, accepts = enumeration._column_masks(languages)
+    moves, accepts = enumeration._mask_column(states, Alphabet(alphabet))
     assert accepts == expected_accepts
     assert moves == [
         [[(l2, mask) for l2, mask in enumerate(targets) if mask] for targets in by_symbol]
         for by_symbol in expected_moves
     ]
+    assert (moves, accepts) == column_masks(languages)
+
+
+@pytest.mark.parametrize(
+    "states, alphabet, step",
+    [
+        pytest.param(n, alphabet, 1, id=f"{name}-{n}")
+        for name, alphabet in (("binary", BINARY), ("ternary", TERNARY), ("unary", UNARY))
+        for n in (1, 2, 3)
+    ]
+    + [pytest.param(4, BINARY, 97, id="binary-4-every-97th")],
+)
+def test_nonempty_language_is_the_list_entry(states, alphabet, step):
+    # The witness's mask language is made from its index alone.
+    languages = [d for d in canonical_languages(states, alphabet) if d.accepting]
+    for i in range(0, len(languages), step):
+        assert enumeration._nonempty_language(states, Alphabet(alphabet), i) == languages[i]
+    with pytest.raises(IndexError):
+        enumeration._nonempty_language(states, Alphabet(alphabet), len(languages))
 
 
 def test_column_masks_peak_memory():
-    # The flat table of the size-4 column is 57,067 records of 12 bytes,
-    # about 0.7 MB, and the tracemalloc peak about 1.4 MB.  A build that
-    # joins one bytes object per language peaks at over 6 MB.
-    languages = tuple(d for d in canonical_languages(4) if d.accepting)
+    # The size-4 mask column read off the cached build: the kept tables'
+    # bytes, 57,067 records of at most 8 bytes, about 0.46 MB, and the
+    # tracemalloc peak about 1.1 MB.
+    enumeration._build(4, BINARY)
+    enumeration._mask_column.cache_clear()
     tracemalloc.start()
     try:
-        enumeration._column_masks(languages)
+        enumeration._mask_column(4, BINARY)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 3_000_000
+
+
+def test_search_4_peak_memory():
+    # All of search --sizes 4 in-process, the build included, peaks at about
+    # 2.9 MB.  Making the 57,068 DFAs of canonical_languages(4) for the mask
+    # column, as the search once did, peaks at over 9 MB.
+    canonical_languages.cache_clear()
+    tracemalloc.start()
+    try:
+        tightness_search([4])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        canonical_languages.cache_clear()
+    assert peak < 6_000_000
 
 
 def test_apart_columns_peak_memory():
@@ -661,17 +697,19 @@ def test_apart_columns_peak_memory():
 
 
 def test_mask_column_is_the_language_list(monkeypatch):
-    # (2,3): the 3-state list is the mask column, passed as is, not wrapped.
-    seen, real = [], enumeration._column_masks
+    # The mask column is read off the language build: canonical_languages
+    # makes DFAs only for the sizes that become columns, never for the mask.
+    seen, real = [], enumeration.canonical_languages
 
-    def recording(languages):
-        seen.append(languages)
-        return real(languages)
+    def recording(states, alphabet=BINARY):
+        seen.append(states)
+        return real(states, alphabet)
 
-    monkeypatch.setattr(enumeration, "_column_masks", recording)
+    monkeypatch.setattr(enumeration, "canonical_languages", recording)
+    tightness_search([4])
+    assert seen == []
     tightness_search([2, 3])
-    (languages,) = seen
-    assert tuple(languages) == tuple(d for d in canonical_languages(3) if d.accepting)
+    assert seen == [2]
 
 
 def test_search_refuses_over_64_components(monkeypatch):
