@@ -116,11 +116,11 @@ def run(dfa: Dfa, word: Iterable[int], start: int | None = None) -> int:
         state = start
     else:
         raise ValueError(f"start state {start} out of range for {dfa.state_count} states")
-    width = len(dfa.alphabet)
+    width, delta = len(dfa.alphabet), dfa.delta
     for sym in word:
         if not 0 <= sym < width:
             raise ValueError(f"symbol index {sym} out of range for alphabet of size {width}")
-        state = dfa.delta[state][sym]
+        state = delta[state][sym]
     return state
 
 
@@ -159,4 +159,4 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
 
 
 def format_word(alphabet: Alphabet, word: Sequence[int]) -> str:
-    return "".join(alphabet[sym] for sym in word)
+    return "".join([alphabet[sym] for sym in word])

@@ -24,11 +24,11 @@ from .shortest import intersection_lss
 SCHEMA_VERSION = 1
 # witness and verify walk the product of each (m, n) pair, and lss the
 # product of its DFA files, each walk stopping at its first accepting state.
-# Under tracemalloc, empty queries over 3 letters peaked at about 115 bytes
-# per state with two 600-state files or one of them given twice, and 145
-# with a 20-state third file (1,393,373 states): 0.5-0.6 GB at this cap.
+# Under tracemalloc, empty queries over 3 letters peaked at about 113-114
+# bytes per state with two 600-state files or one of them given twice, and
+# 150 with a 20-state file first (676,124 states): 0.5-0.6 GB at this cap.
 # witness and verify also walk each chain in full, as state_complexity
-# minimizes it, and with the minimization peak at about 750-880 bytes per
+# refines it, and with the refinement peak at about 750-880 bytes per
 # chain state, some 8 walk states' worth.  So witness counts its longer chain,
 # of max(m, n) states, as 8 walk states a state; verify's chains have at most
 # 75 states.

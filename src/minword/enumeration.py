@@ -133,7 +133,9 @@ def canonical_languages(states: int, alphabet: Iterable[str] = BINARY) -> tuple[
     the order would differ, but the enumeration cannot finish there anyway.
     A state count below 1 raises ValueError, and so does an alphabet that
     Alphabet rejects.  Cached per (states, alphabet), however the labels are
-    passed; the DFAs carry an Alphabet.  cache_clear empties every cache.
+    passed; the DFAs carry an Alphabet.  The build beneath is cached per k,
+    so the sizes of one search draw each k once.  cache_clear empties every
+    cache.
     """
     if states < 1:
         raise ValueError(f"state count must be positive, got {states}")
@@ -216,23 +218,25 @@ def _apart_columns(tables: Sequence[Sequence[Sequence[int]]]) -> list[bytes]:
     return [held[f // 8 :: size].translate(bits[f % 8]) for f in range(sets)]
 
 
-@lru_cache(maxsize=None)
 def _build(states: int, alphabet: Alphabet) -> tuple[tuple[int, int, list, bytes], ...]:
-    """The groups of canonical_languages(states, alphabet), in its order.
+    """The groups of canonical_languages(states, alphabet), in its order: _groups(k) for k = 1..states."""
+    return tuple(itertools.chain.from_iterable(_groups(k, alphabet) for k in range(1, states + 1)))
 
-    One (k, f, tables, kept) per k = 1..states and accepting set f: the
-    k-state tables, one list for all of k's groups, and f's _apart_columns
-    entry, nonzero at the tables it keeps.  enumerate_dfas yields each
-    table's 2**k candidates in a row: all are drawn, so its yields count
-    them, and the first of each gives the table.
+
+@lru_cache(maxsize=None)
+def _groups(k: int, alphabet: Alphabet) -> tuple[tuple[int, int, list, bytes], ...]:
+    """The groups of the k-state languages, cached per k, so every size above draws them once.
+
+    One (k, f, tables, kept) per accepting set f: the k-state tables, one
+    list for all of k's groups, and f's _apart_columns entry, nonzero at the
+    tables it keeps.  enumerate_dfas yields each table's 2**k candidates in
+    a row: all are drawn, so its yields count them, and the first of each
+    gives the table.
     """
-    groups = []
-    for k in range(1, states + 1):
-        tables = [d.delta for d in itertools.islice(enumerate_dfas(k, alphabet), 0, None, 1 << k)]
-        columns = _apart_columns(tables)
-        order = sorted(range(1 << k), key=lambda f: (*[q for q in range(k) if f >> q & 1], k))
-        groups += [(k, f, tables, columns[f]) for f in order]
-    return tuple(groups)
+    tables = [d.delta for d in itertools.islice(enumerate_dfas(k, alphabet), 0, None, 1 << k)]
+    columns = _apart_columns(tables)
+    order = sorted(range(1 << k), key=lambda f: (*[q for q in range(k) if f >> q & 1], k))
+    return tuple((k, f, tables, columns[f]) for f in order)
 
 
 @lru_cache(maxsize=None)
@@ -245,7 +249,7 @@ def _canonical_languages(states: int, alphabet: Alphabet) -> tuple[Dfa, ...]:
 
 
 def _cache_clear() -> None:
-    for cached in (_build, _canonical_languages, _mask_column):
+    for cached in (_groups, _canonical_languages, _mask_column):
         cached.cache_clear()
 
 

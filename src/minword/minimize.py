@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .automaton import Dfa
-from .product import shared_alphabet, walk
+from .product import Walk, shared_alphabet, walk
 
 
 def minimize(*components: Dfa) -> Dfa:
@@ -35,9 +35,7 @@ def minimize(*components: Dfa) -> Dfa:
     """
     alphabet = shared_alphabet(components)
     found = walk(components)
-    accepting = [False] * len(found.rows)
-    for i in found.accepting:
-        accepting[i] = True
+    accepting = _flags(found)
     block, n_blocks = refine_blocks(found.rows, accepting)
     firsts: list[int] = []
     for i, b in enumerate(block):
@@ -50,6 +48,14 @@ def minimize(*components: Dfa) -> Dfa:
         frozenset(b for b, i in enumerate(firsts) if accepting[i]),
         tuple([tuple([block[t] for t in found.rows[i]]) for i in firsts]),
     )
+
+
+def _flags(found: Walk) -> list[bool]:
+    """Whether each state of a full walk accepts."""
+    accepting = [False] * len(found.rows)
+    for i in found.accepting:
+        accepting[i] = True
+    return accepting
 
 
 def refine_blocks(rows: Sequence[Sequence[int]], accepting: Sequence[bool]) -> tuple[list[int], int]:
@@ -107,8 +113,13 @@ def refine_blocks(rows: Sequence[Sequence[int]], accepting: Sequence[bool]) -> t
 
 
 def state_complexity(dfa: Dfa) -> int:
-    """Number of states of the minimal complete DFA for L(dfa)."""
-    return minimize(dfa).state_count
+    """Number of states of the minimal complete DFA for L(dfa).
+
+    That is minimize(dfa).state_count, the block count refine_blocks gives
+    for the walk of dfa, read with no minimized Dfa built.
+    """
+    found = walk([dfa])
+    return refine_blocks(found.rows, _flags(found))[1]
 
 
 def equivalent(a: Dfa, b: Dfa) -> bool:

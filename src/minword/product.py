@@ -14,10 +14,13 @@ span_i is the product of the state counts of the components after i; a
 lone component's codes are its states.  Its dict and its queue hold ints,
 and no tuple is built or hashed.  The rows of every component but the last
 are pre-scaled by its span, so the successor codes of a tuple are its
-components' rows added entry by entry: the walk divmods a code against the
-spans and chains lazy maps over those rows, the last component's own table
-last.  A tuple's acceptance is decoded the same way, past the head only when
-the head accepts.  Nothing is built or kept per tail, so a walk holds only
+components' rows added entry by entry.  The walk splits a code into its
+head digit, code // span, and its tail, code % span, where span is span_0;
+on each symbol the successor code is the head row's entry plus the tail
+row's, one int add.  A lone component's tail is one all-zero row, a tail
+of one component is read from its own table, and a tail of more is added up
+into one row tuple as its state is expanded, and dropped after.  A tuple's acceptance is decoded the same way, past the head
+only when the head accepts.  Nothing is kept per tail, so a walk holds only
 its codes and what its callers read, whatever its components.  product()
 alone turns codes back into tuples.
 """
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from math import prod
 from operator import add
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .automaton import Alphabet, AlphabetMismatchError, Dfa
 
@@ -43,8 +46,8 @@ class Walk(NamedTuple):
 
     codes doubles as the breadth-first queue.  A stopping walk's parents
     hold -1 for the start, then parent index * width + symbol for each
-    later state, width being the alphabet size: divmod by width reads one
-    link back.
+    later state, width being the alphabet size: a link // width is the
+    parent and link % width the symbol.
     """
 
     codes: list[int]  # mixed-radix code of each state's component state tuple
@@ -89,13 +92,13 @@ class _Tail:
 class _TailRows(_Tail):
     __slots__ = ()
 
-    def __getitem__(self, code: int) -> Iterable[int]:
-        """The tail row: lazy maps chained over the middle rows, then the last row."""
+    def __getitem__(self, code: int) -> tuple[int, ...]:
+        """The tail row: the middle rows and the last row added entry by entry."""
         targets = None
         for span, rows, _ in self.middle:
             q, code = divmod(code, span)
             targets = rows[q] if targets is None else map(add, targets, rows[q])
-        return map(add, targets, self.last[code])
+        return tuple(map(add, targets, self.last[code]))
 
 
 class _TailAccepts(_Tail):
@@ -116,13 +119,18 @@ def walk(components: Sequence[Dfa], stop: bool = False) -> Walk:
     from the components.  With stop, the walk ends at the first all-accepting
     tuple, which is reached by the shortlex-least accepted word that the
     parent links spell.  Each kind of walk keeps only what its callers read,
-    parents or rows, to keep the memory of large walks down.
+    parents or rows, to keep the memory of large walks down.  The successor
+    codes of an expanded tuple are summed inline, head row entry plus tail
+    row entry.
     """
     head, last = components[0], components[-1]
     head_accepting = head.accepting
+    width = len(head.alphabet)
+    symbols = range(width)
     if len(components) == 1:
-        # A lone component's codes are its states: its own rows, no tail.
-        head_rows, tail_rows, tail_accepts, span, start = head.delta, None, (True,), 1, head.initial
+        # A lone component's codes are its states: its own rows, and a tail
+        # of one accepting state whose row adds nothing.
+        head_rows, tail_rows, tail_accepts, span, start = head.delta, ((0,) * width,), (True,), 1, head.initial
     else:
         tail_rows = last.delta
         tail_accepts = [q in last.accepting for q in range(last.state_count)]
@@ -138,48 +146,37 @@ def walk(components: Sequence[Dfa], stop: bool = False) -> Walk:
         start += head.initial * span
     codes = [start]
     rows: list[tuple[int, ...]] = []
-    h, r = divmod(start, span)
-    accepting = [0] if h in head_accepting and tail_accepts[r] else []
+    accepting = [0] if start // span in head_accepting and tail_accepts[start % span] else []
     if stop and accepting:
         return Walk(codes, [-1], rows, accepting)
     if stop:
         parents = [-1]
-        width = len(head.alphabet)
         seen = {start}
         # codes grows while it is iterated: it is the BFS queue as well.
         for i, code in enumerate(codes):
-            if tail_rows is None:
-                targets = head_rows[code]
-            else:
-                h, r = divmod(code, span)
-                targets = map(add, head_rows[h], tail_rows[r])
-            link = i * width  # parent index * width + symbol, symbol 0 first
-            for target in targets:
+            hrow, trow = head_rows[code // span], tail_rows[code % span]
+            link = i * width  # parent index * width, plus the symbol below
+            for a in symbols:
+                target = hrow[a] + trow[a]
                 if target not in seen:
                     seen.add(target)
                     codes.append(target)
-                    parents.append(link)
-                    h, r = divmod(target, span)
-                    if h in head_accepting and tail_accepts[r]:
+                    parents.append(link + a)
+                    if target // span in head_accepting and tail_accepts[target % span]:
                         accepting.append(len(parents) - 1)
                         return Walk(codes, parents, rows, accepting)
-                link += 1
         return Walk(codes, parents, rows, accepting)
     ids = {start: 0}
     for code in codes:
-        if tail_rows is None:
-            targets = head_rows[code]
-        else:
-            h, r = divmod(code, span)
-            targets = map(add, head_rows[h], tail_rows[r])
         row: list[int] = []
-        for target in targets:
+        hrow, trow = head_rows[code // span], tail_rows[code % span]
+        for a in symbols:
+            target = hrow[a] + trow[a]
             idx = ids.get(target)
             if idx is None:
                 idx = ids[target] = len(codes)
                 codes.append(target)
-                h, r = divmod(target, span)
-                if h in head_accepting and tail_accepts[r]:
+                if target // span in head_accepting and tail_accepts[target % span]:
                     accepting.append(idx)
             row.append(idx)
         rows.append(tuple(row))

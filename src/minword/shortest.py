@@ -38,10 +38,11 @@ def intersection_lss(components: Sequence[Dfa]) -> LssResult | None:
     found = walk(components, stop=True)
     if not found.accepting:
         return None
-    symbols: list[int] = []
+    parents, symbols = found.parents, []
     state = found.accepting[0]
     while state:
-        state, sym = divmod(found.parents[state], width)
-        symbols.append(sym)
+        link = parents[state]
+        symbols.append(link % width)
+        state = link // width
     symbols.reverse()
     return LssResult(len(symbols), tuple(symbols))

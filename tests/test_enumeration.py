@@ -213,6 +213,24 @@ def test_build_draws_every_candidate(monkeypatch):
     assert drawn == [85_746]
 
 
+def test_search_draws_each_size_once(monkeypatch):
+    # The build is cached per k: sizes 2 and 3 draw the 2 + 48 candidates of
+    # k = 1, 2 once between them, then the 1,728 of k = 3.
+    drawn, real = [], enumeration.enumerate_dfas
+
+    def counting(*args):
+        drawn.append(args[0])
+        yield from real(*args)
+
+    monkeypatch.setattr(enumeration, "enumerate_dfas", counting)
+    canonical_languages.cache_clear()
+    try:
+        assert tightness_search([2, 2, 3]).max_lss == 7
+    finally:
+        canonical_languages.cache_clear()
+    assert drawn == [1, 2, 3]
+
+
 def test_build_runs_no_refinement(monkeypatch):
     # The build decides apartness for whole tables, so neither the
     # refinement nor minimize is called while the languages are made.

@@ -1,7 +1,7 @@
 """Minimization oracles: refinement results cross-checked word by word."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minword import (
     AlphabetMismatchError,
@@ -155,6 +155,16 @@ def test_canonical_form_is_tidy(d, data):
         ),
     )
     assert minimize(renamed) == m
+
+
+@given(d=dfas(max_states=5))
+@example(d=Dfa(3, BINARY, 1, frozenset(), ((1, 2), (2, 0), (0, 0))))
+@example(d=Dfa(3, BINARY, 1, frozenset({0, 1, 2}), ((1, 2), (2, 0), (0, 0))))
+@settings(max_examples=200, deadline=None)
+def test_state_complexity_is_the_minimal_state_count(d):
+    # Read off refine_blocks with no minimized Dfa built; the empty and the
+    # all-accepting language have one state.
+    assert state_complexity(d) == minimize(d).state_count
 
 
 @given(components=st.lists(dfas(max_states=4), min_size=2, max_size=3))
