@@ -139,7 +139,12 @@ def cmd_search(args) -> int:
 
 
 def cmd_lss(args) -> int:
-    dfas = [load_path(path) for path in args.dfa]
+    dfas = []
+    for path in args.dfa:
+        try:
+            dfas.append(load_path(path))
+        except ValueError as exc:  # OSError messages name the path already
+            raise ValueError(f"{path}: {exc}") from exc
     _check_walk(prod(d.state_count for d in dfas), "the intersection")
     result = intersection_lss(dfas)
     fields = {"components": len(dfas), "empty": result is None, "length": None, "witness": None}

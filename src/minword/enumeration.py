@@ -376,11 +376,10 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
     it is.  The mask column is the longest list, the largest size's, the
     last on a tie, and the full language alone with no size above 1.  Its
     masks come from the language build (_mask_column), bit i for language
-    i, and only the witness's language of it becomes a Dfa.  Each other
-    list, from canonical_languages, is a column of (key, dfa) entries in
-    key order, language i under key (i,).  Every meet, of a fold pair or of
-    a row of several columns, is one minimize call on its languages; a row
-    of one column is its one entry.
+    i, with no Dfa made for them.  Each other list, from canonical_languages,
+    is a column of (key, dfa) entries in key order, language i under key
+    (i,).  Every meet, of a fold pair or of a row of several columns, is one
+    minimize call on its languages; a row of one column is its one entry.
 
     A tuple's lss depends only on its intersection language, so while more
     than one other column remains and the first two meet at most
@@ -397,7 +396,8 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
     the first strictly larger maximum and, on a tie, the least full key.
     Only when the mask column is last is that the first row, so only then
     does it stop at the target prod(sizes) - 1, which no lss exceeds.  One
-    stopping walk of the witness tuple spells the shortlex-least witness.
+    stopping walk of the witness tuple, its languages made from their
+    indices by _nonempty_language, spells the shortlex-least witness.
 
     Products over MAX_PRODUCT_STATES states are refused, and so are more
     than MAX_PRODUCT_STATES components: within the limit at most 6 are
@@ -437,8 +437,8 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
     listed, masked, mask_bits = [s for s in sizes if s > 1], max(sizes), max(nonempty)
     place = max((c for c, s in enumerate(listed) if s == masked), default=0)
     others = listed[:place] + listed[place + 1 :]
-    lists = {s: tuple(d for d in canonical_languages(s, alphabet) if d.accepting) for s in others}
-    columns = [[((i,), d) for i, d in enumerate(lists[s])] for s in others]
+    nonempties = ([d for d in canonical_languages(s, alphabet) if d.accepting] for s in others)
+    columns = [[((i,), d) for i, d in enumerate(languages)] for languages in nonempties]
     while len(columns) > 1 and len(columns[0]) * len(columns[1]) <= MAX_FOLD_PRODUCTS:
         folded: dict[Dfa, tuple[int, ...]] = {}
         for (key, a), (tail, b) in itertools.product(columns[0], columns[1]):
@@ -473,7 +473,7 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
             if best_lss == target and place >= len(listed) - 1:
                 break
 
-    picked = [lists[s][i] if s in lists else _nonempty_language(s, alphabet, i) for s, i in zip(listed, best_key)]
+    picked = [_nonempty_language(s, alphabet, i) for s, i in zip(listed, best_key)]
     witness_dfas = tuple(picked.pop(0) if s > 1 else full for s in sizes)
     return SearchReport(
         sizes=sizes,

@@ -17,12 +17,15 @@ are pre-scaled by its span, so the successor codes of a tuple are its
 components' rows added entry by entry.  The walk splits a code into its
 head digit, code // span, and its tail, code % span, where span is span_0;
 on each symbol the successor code is the head row's entry plus the tail
-row's, one int add.  A lone component's tail is one all-zero row, a tail
-of one component is read from its own table, and a tail of more is added up
-into one row tuple as its state is expanded, and dropped after.  A tuple's acceptance is decoded the same way, past the head
-only when the head accepts.  Nothing is kept per tail, so a walk holds only
-its codes and what its callers read, whatever its components.  product()
-alone turns codes back into tuples.
+row's, one int add.  A tail is a Dfa, or a _Joint of several read like
+one, through its state count, initial state, delta[code] and code in
+accepting: a lone component's tail is the 1-state full language, whose one
+row adds nothing, and a _Joint adds its components' rows up into one row
+tuple as a state is expanded.  A tuple accepts when its head digit is in
+the head's accepting set and, asked only then, its tail code in the
+tail's.  Nothing is kept per tail state, so a walk holds only its codes and
+what its callers read, whatever its components.  product() alone turns
+codes back into tuples.
 """
 
 from __future__ import annotations
@@ -69,47 +72,47 @@ def shared_alphabet(components: Sequence[Dfa]) -> Alphabet:
     return alphabet
 
 
-def _scaled(dfa: Dfa, span: int) -> list[tuple[int, ...]]:
-    """The DFA's rows with every target multiplied by span."""
+def _scaled(dfa: Dfa, span: int) -> Sequence[tuple[int, ...]]:
+    """The DFA's rows with every target multiplied by span: its own table for span 1."""
+    if span == 1:
+        return dfa.delta
     return [tuple([t * span for t in row]) for row in dfa.delta]
 
 
-class _Tail:
-    """A tail of two or more components, read by code like one component's table or flags.
+class _Joint:
+    """Two or more components read like one Dfa, by their mixed-radix code.
 
-    middle holds (span, rows scaled by span, accepting set) of each tail
-    component but the last, and last the last one's table or flags.  Each
-    lookup divmods the code against the middle spans; nothing is kept.
+    parts holds (span, rows scaled by span, accepting set) of each component
+    but the last, last the last one's table and flags its accept flags.
+    delta and accepting are the joint itself; each lookup divmods the code.
     """
 
-    __slots__ = ("middle", "last")
+    __slots__ = ("state_count", "initial", "delta", "accepting", "parts", "last", "flags")
 
-    def __init__(self, middle: list[tuple[int, list[tuple[int, ...]], frozenset[int]]], last: Sequence) -> None:
-        self.middle = middle
-        self.last = last
-
-
-class _TailRows(_Tail):
-    __slots__ = ()
+    def __init__(self, components: Sequence[Dfa]) -> None:
+        last = components[-1]
+        self.last, self.flags = last.delta, [q in last.accepting for q in range(last.state_count)]
+        span, initial, parts = last.state_count, last.initial, []
+        for d in reversed(components[:-1]):
+            parts.insert(0, (span, _scaled(d, span), d.accepting))
+            initial += d.initial * span
+            span *= d.state_count
+        self.state_count, self.initial, self.parts = span, initial, parts
+        self.delta = self.accepting = self
 
     def __getitem__(self, code: int) -> tuple[int, ...]:
-        """The tail row: the middle rows and the last row added entry by entry."""
         targets = None
-        for span, rows, _ in self.middle:
+        for span, rows, _ in self.parts:
             q, code = divmod(code, span)
             targets = rows[q] if targets is None else map(add, targets, rows[q])
         return tuple(map(add, targets, self.last[code]))
 
-
-class _TailAccepts(_Tail):
-    __slots__ = ()
-
-    def __getitem__(self, code: int) -> bool:
-        for span, _, accepting in self.middle:
+    def __contains__(self, code: int) -> bool:
+        for span, _, accepting in self.parts:
             q, code = divmod(code, span)
             if q not in accepting:
                 return False
-        return self.last[code]
+        return self.flags[code]
 
 
 def walk(components: Sequence[Dfa], stop: bool = False) -> Walk:
@@ -121,32 +124,23 @@ def walk(components: Sequence[Dfa], stop: bool = False) -> Walk:
     parent links spell.  Each kind of walk keeps only what its callers read,
     parents or rows, to keep the memory of large walks down.  The successor
     codes of an expanded tuple are summed inline, head row entry plus tail
-    row entry.
+    row entry, where the tail is a Dfa, or a _Joint of several read like one.
     """
-    head, last = components[0], components[-1]
-    head_accepting = head.accepting
+    head = components[0]
     width = len(head.alphabet)
     symbols = range(width)
-    if len(components) == 1:
-        # A lone component's codes are its states: its own rows, and a tail
-        # of one accepting state whose row adds nothing.
-        head_rows, tail_rows, tail_accepts, span, start = head.delta, ((0,) * width,), (True,), 1, head.initial
+    if len(components) > 2:
+        tail = _Joint(components[1:])
+    elif len(components) == 2:
+        tail = components[1]
     else:
-        tail_rows = last.delta
-        tail_accepts = [q in last.accepting for q in range(last.state_count)]
-        span, start = last.state_count, last.initial
-        middle = []
-        for d in reversed(components[1:-1]):
-            middle.insert(0, (span, _scaled(d, span), d.accepting))
-            start += d.initial * span
-            span *= d.state_count
-        if middle:
-            tail_rows, tail_accepts = _TailRows(middle, tail_rows), _TailAccepts(middle, tail_accepts)
-        head_rows = _scaled(head, span)
-        start += head.initial * span
+        tail = Dfa(1, head.alphabet, 0, frozenset((0,)), ((0,) * width,))
+    head_accepting, tail_rows, tail_accepting, span = head.accepting, tail.delta, tail.accepting, tail.state_count
+    head_rows = _scaled(head, span)
+    start = head.initial * span + tail.initial
     codes = [start]
     rows: list[tuple[int, ...]] = []
-    accepting = [0] if start // span in head_accepting and tail_accepts[start % span] else []
+    accepting = [0] if start // span in head_accepting and start % span in tail_accepting else []
     if stop and accepting:
         return Walk(codes, [-1], rows, accepting)
     if stop:
@@ -162,7 +156,7 @@ def walk(components: Sequence[Dfa], stop: bool = False) -> Walk:
                     seen.add(target)
                     codes.append(target)
                     parents.append(link + a)
-                    if target // span in head_accepting and tail_accepts[target % span]:
+                    if target // span in head_accepting and target % span in tail_accepting:
                         accepting.append(len(parents) - 1)
                         return Walk(codes, parents, rows, accepting)
         return Walk(codes, parents, rows, accepting)
@@ -176,7 +170,7 @@ def walk(components: Sequence[Dfa], stop: bool = False) -> Walk:
             if idx is None:
                 idx = ids[target] = len(codes)
                 codes.append(target)
-                if target // span in head_accepting and tail_accepts[target % span]:
+                if target // span in head_accepting and target % span in tail_accepting:
                     accepting.append(idx)
             row.append(idx)
         rows.append(tuple(row))

@@ -428,7 +428,7 @@ def test_lone_surrogate_label_is_rejected_on_load(capsys, tmp_path):
     code, out, err = run_cli(capsys, "lss", "--dfa", str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: key 'alphabet': ")
+    assert err.startswith(f"error: {path}: key 'alphabet': ")
 
 
 def test_lss_empty_intersection_exit_code(capsys, tmp_path):
@@ -483,7 +483,7 @@ def test_lss_deeply_nested_json(capsys, tmp_path):
     code, out, err = run_cli(capsys, "lss", "--dfa", str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: invalid JSON")
+    assert err.startswith(f"error: {path}: invalid JSON")
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
@@ -494,13 +494,34 @@ def test_lss_integer_over_the_digit_limit(capsys, tmp_path):
     code, out, err = run_cli(capsys, "lss", "--dfa", str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: invalid JSON: Exceeds the limit")
+    assert err.startswith(f"error: {path}: invalid JSON: Exceeds the limit")
 
 
 def test_lss_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "lss", "--dfa", str(tmp_path / "nope.json"))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"states": 1, "initial": 0, "accepting": [], "delta": [[0, 0]]}', "missing key 'alphabet'"),
+        (b'{"states": 1,', "invalid JSON"),
+        (
+            b'{"states": 2, "alphabet": ["0", "1"], "initial": 0, "accepting": [5], "delta": [[0, 0], [1, 1]]}',
+            "accepting state 5 out of range for 2 states",
+        ),
+        (b'{"states": 1, "alphabet": ["\xff"]}', "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["missing-key", "invalid-json", "out-of-range", "not-utf8"],
+)
+def test_lss_load_error_names_the_file(capsys, pair_files, content, message):
+    good, bad = pair_files[0], pair_files[0].parent / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run_cli(capsys, "lss", "--dfa", str(good), "--dfa", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: {message}")
 
 
 # --- byte-exact output ---------------------------------------------------------

@@ -174,8 +174,14 @@ _EVEN, _ODD = _parity_dfa(1, 100, 0), _parity_dfa(2, 100, 1)
 
 @pytest.mark.parametrize(
     "components",
-    [[_EVEN, _EVEN, _ODD], [_ONE, _EVEN, _ODD], [_EVEN, _ODD, _ONE]],
-    ids=["repeated", "one-state-first", "one-state-last"],
+    [
+        [_EVEN, _EVEN, _ODD],
+        [_ONE, _EVEN, _ODD],
+        [_EVEN, _ODD, _ONE],
+        [_EVEN, _ONE, _EVEN, _ODD],
+        [_EVEN, _ODD, _EVEN, _ONE, _ODD],
+    ],
+    ids=["repeated", "one-state-first", "one-state-last", "joint-of-three", "joint-of-four"],
 )
 def test_lss_walk_memory_per_state_is_bounded(components):
     states = len(walk(components, stop=True).codes)
