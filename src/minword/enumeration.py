@@ -15,18 +15,23 @@ The longest list is the mask column: its languages are bits of Python ints,
 read off the tables of the build with no DFA object made per language, so
 one breadth-first pass over a row, a tuple of the other lists (folded into
 intersection classes where that is cheap), finds the shortest word of the
-row's intersection with every language of the column at once.
+row's intersection with every language of the column at once.  A list is
+folded with itself one unordered pair at a time, and a row that a swap of
+two letters sends to a smaller row is skipped.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from functools import lru_cache
 from math import prod
+from operator import getitem, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .automaton import Alphabet, BINARY, Dfa, Word
 from .minimize import minimize
+from .product import walk
 from .shortest import intersection_lss
 
 MAX_PRODUCT_STATES = 64
@@ -249,7 +254,7 @@ def _canonical_languages(states: int, alphabet: Alphabet) -> tuple[Dfa, ...]:
 
 
 def _cache_clear() -> None:
-    for cached in (_groups, _canonical_languages, _mask_column):
+    for cached in (_groups, _canonical_languages, _mask_column, _nonempty_starts):
         cached.cache_clear()
 
 
@@ -271,14 +276,25 @@ class SearchReport(NamedTuple):
 
 
 def _nonempty_language(states: int, alphabet: Alphabet, index: int) -> Dfa:
-    """[d for d in canonical_languages(states, alphabet) if d.accepting][index], from the build."""
-    for k, f, tables, kept in _build(states, alphabet):
-        count = kept.count(1) if f else 0
-        if index < count:
-            delta = next(itertools.islice(itertools.compress(tables, kept), index, None))
-            return Dfa(k, alphabet, 0, frozenset(q for q in range(k) if f >> q & 1), delta)
-        index -= count
-    raise IndexError(f"no nonempty language {index} of size <= {states}")
+    """[d for d in canonical_languages(states, alphabet) if d.accepting][index], from the build.
+
+    The group is found by bisecting the nonempty languages before each group
+    (_nonempty_starts), and the table by walking that group alone.
+    """
+    starts = _nonempty_starts(states, alphabet)
+    g = bisect_right(starts, index) - 1
+    if not 0 <= index < starts[-1]:
+        raise IndexError(f"no nonempty language {index} of size <= {states}")
+    k, f, tables, kept = _build(states, alphabet)[g]
+    delta = next(itertools.islice(itertools.compress(tables, kept), index - starts[g], None))
+    return Dfa(k, alphabet, 0, frozenset(q for q in range(k) if f >> q & 1), delta)
+
+
+@lru_cache(maxsize=None)
+def _nonempty_starts(states: int, alphabet: Alphabet) -> list[int]:
+    """Entry g counts the nonempty languages of the groups of _build before group g; the last, all of them."""
+    counts = (kept.count(1) if f else 0 for _, f, _, kept in _build(states, alphabet))
+    return list(itertools.accumulate(counts, initial=0))
 
 
 @lru_cache(maxsize=None)
@@ -358,6 +374,29 @@ def _row_pass(row: Dfa, moves: list, accepts: list[int], everything: int) -> tup
     return last
 
 
+def _letter_images(nonempties: dict[int, list[Dfa]], others: Sequence[int], width: int) -> list[list[list[int]]]:
+    """For each swap of letters a and a + 1, where it sends the languages of each column.
+
+    Entry a holds, for each size s of others in turn, the list whose item i
+    is the index in nonempties[s] of language i with letters a and a + 1
+    swapped in every row.  The swapped table's states are all apart, as the
+    language's are, so one walk numbering them breadth-first makes it the
+    canonical minimal DFA, and a dict finds that in the list, which holds
+    it: a renaming of letters keeps the state complexity and the
+    nonemptiness of a language.  Columns of one size share one list.
+    """
+    swaps = []
+    for a in range(width - 1):
+        swap = itemgetter(*range(a), a + 1, a, *range(a + 2, width))
+        images = {}
+        for s, languages in nonempties.items():
+            index = {(d.accepting, d.delta): i for i, d in enumerate(languages)}
+            walks = (walk([d._replace(delta=tuple(map(swap, d.delta)))]) for d in languages)
+            images[s] = [index[frozenset(found.accepting), tuple(found.rows)] for found in walks]
+        swaps.append([images[s] for s in others])
+    return swaps
+
+
 def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> SearchReport:
     """Exhaustively search size-bounded language tuples for the maximum lss.
 
@@ -399,13 +438,32 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
     stopping walk of the witness tuple, its languages made from their
     indices by _nonempty_language, spells the shortlex-least witness.
 
+    Two symmetries of the question drop work and change no report.
+    Intersection commutes, so when the two columns of a fold step are one
+    list (raw columns of one size) only the pairs i <= j are met: pair
+    (j, i) reaches the class of (i, j) after it, and the pairs met keep the
+    order of the full product, so every class keeps its least key and its
+    place.  Renaming the letters of every component at once keeps every
+    lss and maps the mask column onto itself.  When the mask column is
+    last, a row's key is its full key without the mask index, and a row is
+    skipped before its meet when swapping two adjacent letters sends its
+    key to a smaller one (_letter_images).  The renamed tuple reaches a row
+    with a key no larger than the renamed key, whose meet is the renamed
+    meet, so it has the same lss against each renamed mask language and
+    the same maximum: the skipped row cannot hold the least attaining key,
+    and swaps followed down from it end at a row that is passed.  With the
+    mask column elsewhere the mask index sits inside the full key, and
+    nothing is skipped.  Only the |alphabet| - 1 adjacent swaps are tried,
+    not every renaming: skipping fewer rows is always safe.
+
     Products over MAX_PRODUCT_STATES states are refused, and so are more
     than MAX_PRODUCT_STATES components: within the limit at most 6 are
     above size 1.  SEARCH_BUDGET bounds the raw DFAs behind the lists,
     s**(s*|alphabet|) tables times 2**s accepting sets per size s (checked,
     like the limits above, before any enumeration, though the build fills
-    only the accessible tables), and the rows left after the fold times the
-    64-bit words of a mask (checked before the first row).
+    only the accessible tables), and the rows left after the fold, skipped
+    or not, times the 64-bit words of a mask (checked before the first
+    row).  The fold guard counts every ordered pair of a step, met or not.
     """
     sizes, alphabet = tuple(sizes), Alphabet(alphabet)
     if not sizes:
@@ -428,7 +486,7 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
 
     # Every state is reachable, so only the empty set gives an empty language,
     # and it keeps only the 1-state table: one empty language per size.
-    nonempty = [sum(kept.count(1) for _, f, _, kept in _build(s, alphabet) if f) for s in sizes]
+    nonempty = [_nonempty_starts(s, alphabet)[-1] for s in sizes]
     languages_per_size = tuple(n + 1 for n in nonempty)
 
     # The full language stands in for the mask list when no size exceeds 1
@@ -437,11 +495,19 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
     listed, masked, mask_bits = [s for s in sizes if s > 1], max(sizes), max(nonempty)
     place = max((c for c, s in enumerate(listed) if s == masked), default=0)
     others = listed[:place] + listed[place + 1 :]
-    nonempties = ([d for d in canonical_languages(s, alphabet) if d.accepting] for s in others)
-    columns = [[((i,), d) for i, d in enumerate(languages)] for languages in nonempties]
+    # One list per size, so that two raw columns of one size are one list.
+    nonempties = {s: [d for d in canonical_languages(s, alphabet) if d.accepting] for s in dict.fromkeys(others)}
+    lists = {s: [((i,), d) for i, d in enumerate(languages)] for s, languages in nonempties.items()}
+    columns = [lists[s] for s in others]
+    last = place >= len(listed) - 1
+    images = _letter_images(nonempties, others, len(alphabet)) if last and others else []
     while len(columns) > 1 and len(columns[0]) * len(columns[1]) <= MAX_FOLD_PRODUCTS:
         folded: dict[Dfa, tuple[int, ...]] = {}
-        for (key, a), (tail, b) in itertools.product(columns[0], columns[1]):
+        if columns[0] is columns[1]:
+            pairs = itertools.combinations_with_replacement(columns[0], 2)
+        else:
+            pairs = itertools.product(columns[0], columns[1])
+        for (key, a), (tail, b) in pairs:
             meet = minimize(a, b)
             if meet.accepting:
                 folded.setdefault(meet, key + tail)
@@ -460,17 +526,19 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
     best_lss, best_key = -1, ()
     for row in itertools.product(*columns):
         keys, dfas = zip(*row)
+        row_key = tuple(itertools.chain.from_iterable(keys))
+        if any(tuple(map(getitem, image, row_key)) < row_key for image in images):
+            continue
         # A row of one column is minimal already: a canonical language, a
         # fold class or the full language.
         meet = minimize(*dfas) if len(dfas) > 1 else dfas[0]
         lss, resolved = _row_pass(meet, moves, accepts, everything)
         if lss < best_lss or not resolved:
             continue
-        row_key = tuple(itertools.chain.from_iterable(keys))
         key = (*row_key[:place], (resolved & -resolved).bit_length() - 1, *row_key[place:])
         if lss > best_lss or key < best_key:
             best_lss, best_key = lss, key
-            if best_lss == target and place >= len(listed) - 1:
+            if best_lss == target and last:
                 break
 
     picked = [_nonempty_language(s, alphabet, i) for s, i in zip(listed, best_key)]

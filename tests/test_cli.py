@@ -272,6 +272,10 @@ def test_search_3_4_structured_digest(capsys):
         ("2,3,2", "a569d0ad9f2d2fb4437f0ed6cc26659799f6e789b873b2ac20ed1e4476d18b0d"),
         # Size-1 padding on both sides of the mask column.
         ("1,3,1", "9e477d4428ae68b25d40691d95fd18731e077b88a5b0c2990dfdc31512c55486"),
+        # One list folded with itself, one unordered pair at a time, under the
+        # letter rule (mask column last) and without it (mask column first).
+        ("2,2,4", "e3d1e273a74fe82b5ea8e7e17407821b318a00f19c46959598405c1db75a8b13"),
+        ("4,2,2", "1db961ea09755d8ff3a4ab7014ae3c1afad01a8f4264514bebbfcee0672a3345"),
     ],
 )
 def test_search_mask_placement_structured_digest(capsys, sizes, digest):

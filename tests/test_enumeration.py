@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from minword import (
+    accepts,
     Alphabet,
     BINARY,
     BudgetExceededError,
@@ -460,19 +461,44 @@ def _oracle_cases():
     binary = [(1, 3), (2, 2), (2, 3), (3, 2), (2, 1, 2), (2, 2, 2)] + _size_tuples((1, 2))
     cases = {(sizes, BINARY): ",".join(map(str, sizes)) for sizes in binary}
     cases.update({(sizes, UNARY): "unary-" + ",".join(map(str, sizes)) for sizes in _size_tuples((1, 2, 3))})
-    for sizes in ((2, 2), (1,), (2,), (1, 2), (2, 1)):
+    for sizes in ((2, 2), (1,), (2,), (1, 2), (2, 1), (2, 1, 2)):
         cases[sizes, TERNARY] = "ternary-" + ",".join(map(str, sizes))
     return [pytest.param(sizes, alphabet, id=name) for (sizes, alphabet), name in cases.items()]
 
 
+_SCANNED = {}
+
+
+def _scanned(sizes, alphabet):
+    # scan_oracle of the nonempty lists, once per case.
+    if (sizes, alphabet) not in _SCANNED:
+        lists = [
+            [d for d in canonical_languages(s, alphabet) if shortest_accepted(d) is not None]
+            for s in sizes
+        ]
+        _SCANNED[sizes, alphabet] = scan_oracle(lists)
+    return _SCANNED[sizes, alphabet]
+
+
+# The binary and ternary cases with a list besides the mask column, and
+# the mask column last, run the letter rule; the binary (3,2) and the unary
+# (3,2,2), (2,3,2) and (3,1,2) put the mask column before another list.
+# Two equal raw lists are folded one unordered pair at a time.
 @pytest.mark.parametrize("sizes, alphabet", _oracle_cases())
 def test_fold_equals_scan_oracle(sizes, alphabet):
     report = tightness_search(sizes, alphabet)
-    lists = [
-        [d for d in canonical_languages(s, alphabet) if shortest_accepted(d) is not None]
-        for s in sizes
-    ]
-    assert (report.max_lss, report.witness_dfas, report.witness_word) == scan_oracle(lists)
+    assert (report.max_lss, report.witness_dfas, report.witness_word) == _scanned(sizes, alphabet)
+
+
+# The same cases with no fold, and with a fold only of lists short enough
+# that the product of their lengths is at most 30 (unary size 2 has 5
+# nonempty languages, unary size 3 has 17, binary size 2 has 25).
+@pytest.mark.parametrize("cap", [0, 30])
+@pytest.mark.parametrize("sizes, alphabet", _oracle_cases())
+def test_fold_cap_sweep_equals_scan_oracle(monkeypatch, sizes, alphabet, cap):
+    monkeypatch.setattr(enumeration, "MAX_FOLD_PRODUCTS", cap)
+    report = tightness_search(sizes, alphabet)
+    assert (report.max_lss, report.witness_dfas, report.witness_word) == _scanned(sizes, alphabet)
 
 
 def _count_fold_meets(monkeypatch):
@@ -500,37 +526,94 @@ def _count_fold_meets(monkeypatch):
     return calls, rows
 
 
-# (2,2,2) has 25 nonempty languages per size.  The first fold step meets
-# 25 * 25 pairs, so it runs only under a cap of at least 625.  Each pair is
-# one meet, the 49 that hold the full language (25 + 25 - 1) too, and the
-# 135 classes it keeps are the rows; without it the 625 pairs are.
-@pytest.mark.parametrize("cap, meets", [(0, 0), (624, 0), (625, 625)])
-def test_fold_cap_walks_the_rest(monkeypatch, cap, meets):
+def _swapped(languages):
+    # Where the swap of the binary letters sends each language of the list.
+    index = {d: i for i, d in enumerate(languages)}
+    return [index[minimize(d._replace(delta=tuple(row[::-1] for row in d.delta)))] for d in languages]
+
+
+# (2,2,2) has 25 nonempty languages per size, one list for both sizes
+# before the mask column.  The fold guard counts its 25 * 25 pairs, so the
+# fold runs only under a cap of at least 625.  It then meets the 325
+# unordered pairs once each, the 25 that hold the full language too, and
+# the 135 classes it keeps are the rows; without it the 625 pairs are.
+# The letter rule passes 78 of the classes, or 325 of the pairs; its image
+# map walks each language once and makes no meet.
+@pytest.mark.parametrize("cap, counted", [(0, 0), (624, 0), (625, 625)])
+def test_fold_cap_walks_the_rest(monkeypatch, cap, counted):
     calls, rows = _count_fold_meets(monkeypatch)
     monkeypatch.setattr(enumeration, "MAX_FOLD_PRODUCTS", cap)
     report = tightness_search([2, 2, 2])
-    assert (len(calls), len(rows)) == (meets, 135 if meets else 625)
+    assert (len(calls), len(rows)) == ((325, 78) if counted else (0, 325))
+    swapped = _swapped([d for d in canonical_languages(2) if d.accepting])
+    pairs = itertools.product(range(25), repeat=2)
+    assert sum((swapped[i], swapped[j]) >= (i, j) for i, j in pairs) == 325
     lists = [[d for d in canonical_languages(2) if d.accepting]] * 3
     assert (report.max_lss, report.witness_dfas, report.witness_word) == scan_oracle(lists)
 
 
+def test_letter_rule_passes_the_least_class_of_each_orbit(monkeypatch):
+    # The (2,2) fold of (2,2,2), made here over all 625 ordered pairs, keeps
+    # 135 classes, each under its least key; the letter rule passes those
+    # whose key is no larger than its image, 78, in fold order.  (4,2,2)
+    # folds the same list with itself, but its mask column comes first, so
+    # the rule is off and all 135 classes are rows, with no image map.
+    languages = [d for d in canonical_languages(2) if d.accepting]
+    swapped = _swapped(languages)
+    classes = {}
+    for (i, a), (j, b) in itertools.product(enumerate(languages), repeat=2):
+        meet = minimize(a, b)
+        if meet.accepting:
+            classes.setdefault(meet, (i, j))
+    least = [d for d, (i, j) in classes.items() if (swapped[i], swapped[j]) >= (i, j)]
+    calls, rows = _count_fold_meets(monkeypatch)
+    tightness_search([2, 2, 2])
+    assert (len(classes), len(calls), rows) == (135, 325, least)
+    assert len(least) == 78
+    calls.clear()
+    rows.clear()
+    tightness_search([4, 2, 2])
+    assert (len(calls), rows) == (325, list(classes))
+
+
+@pytest.mark.parametrize(
+    "states, alphabet",
+    [pytest.param(3, BINARY, id="binary-3"), pytest.param(2, TERNARY, id="ternary-2")],
+)
+def test_letter_images_rename_every_word(states, alphabet):
+    # Image a of language i accepts exactly the words of language i with
+    # letters a and a + 1 swapped.  Two DFAs of at most n states each that
+    # agree on every word shorter than 2n accept the same language.  Each
+    # swap is an involution, so each map is a permutation of the list.
+    languages = [d for d in canonical_languages(states, alphabet) if d.accepting]
+    swaps = enumeration._letter_images({states: languages}, [states], len(alphabet))
+    assert len(swaps) == len(alphabet) - 1
+    words = [w for n in range(2 * states) for w in itertools.product(range(len(alphabet)), repeat=n)]
+    for a, [image] in enumerate(swaps):
+        assert all(image[image[i]] == i for i in range(len(languages)))
+        rename = {a: a + 1, a + 1: a}
+        for d, i in zip(languages, image):
+            assert [accepts(d, w) for w in words] == [accepts(languages[i], [rename.get(b, b) for b in w]) for w in words]
+
+
 def test_size_one_component_makes_no_product(monkeypatch):
     # A size-1 component has no column, so (2,2,1,2) folds like (2,2,2):
-    # 625 pairs, one meet each, the 49 that hold the full language too, and
-    # 135 rows, one per class.
+    # 325 unordered pairs, one meet each, the 25 that hold the full language
+    # too, and 78 of the 135 classes passed as rows.
     calls, rows = _count_fold_meets(monkeypatch)
     report = tightness_search([2, 2, 1, 2])
-    assert (len(calls), len(rows)) == (625, 135)
+    assert (len(calls), len(rows)) == (325, 78)
     lists = [[d for d in canonical_languages(s) if d.accepting] for s in (2, 2, 1, 2)]
     assert (report.max_lss, report.witness_dfas, report.witness_word) == scan_oracle(lists)
 
 
 def test_every_walk_is_a_meet_or_the_witness(monkeypatch):
-    # (2,2,2) meets 625 fold pairs, one minimize call and one walk each, and
-    # passes its 135 classes as rows with no meet; the only other walk
-    # spells the witness word.
+    # (2,2,2) meets 325 fold pairs, one minimize call and one walk each,
+    # walks each of its 25 languages once with the letters swapped, and
+    # passes 78 of its 135 classes as rows with no meet; the only other
+    # walk spells the witness word.
     walks, meets, rows = [], _meet_widths(monkeypatch), _passed_rows(monkeypatch)
-    for name in ("minword.product", "minword.minimize", "minword.shortest"):
+    for name in ("minword.product", "minword.minimize", "minword.shortest", "minword.enumeration"):
         module = importlib.import_module(name)
         real = module.walk
 
@@ -540,7 +623,7 @@ def test_every_walk_is_a_meet_or_the_witness(monkeypatch):
 
         monkeypatch.setattr(module, "walk", counting_walk)
     tightness_search([2, 2, 2])
-    assert (len(walks), len(meets), len(rows)) == (626, 625, 135)
+    assert (len(walks), len(meets), len(rows)) == (351, 325, 78)
     assert walks.count(True) == 1
 
 
@@ -587,14 +670,17 @@ def _passed_rows(monkeypatch):
 def test_size_one_components_take_no_part(monkeypatch):
     # (3,3,1) passes the same rows as (3,3): the nonempty 3-state languages
     # as they are, against the mask of the other 3, with no meet, up to the
-    # 408th, the first to reach the target 8.
+    # 408th, the first to reach the target 8, but for those that the swap
+    # of the letters sends to a smaller index: 215 rows.
     meets, passed = _meet_widths(monkeypatch), _passed_rows(monkeypatch)
     report = tightness_search([3, 3, 1])
     rows = list(passed)
     passed.clear()
     pair = tightness_search([3, 3])
-    assert rows == passed == [d for d in canonical_languages(3) if d.accepting][:408]
-    assert pair.attained and not meets
+    languages = [d for d in canonical_languages(3) if d.accepting]
+    swapped = _swapped(languages)
+    assert rows == passed == [d for i, d in enumerate(languages[:408]) if swapped[i] >= i]
+    assert len(rows) == 215 and pair.attained and not meets
     assert report.witness_dfas == pair.witness_dfas + (_full_language(),)
     assert (report.target, report.max_lss, report.witness_word, report.attained, report.tuples_examined) == (
         pair.target,
