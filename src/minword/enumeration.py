@@ -23,7 +23,6 @@ two letters sends to a smaller row is skipped.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from functools import lru_cache
 from math import prod
 from operator import getitem, itemgetter
@@ -147,12 +146,13 @@ def canonical_languages(states: int, alphabet: Iterable[str] = BINARY) -> tuple[
     return _canonical_languages(states, Alphabet(alphabet))
 
 
-def _apart_columns(tables: Sequence[Sequence[Sequence[int]]]) -> list[bytes]:
+def _apart_columns(flat: bytes, k: int, width: int) -> list[bytes]:
     """For each accepting set F, one byte per table: nonzero when F keeps all states apart.
 
-    tables is a nonempty list of k-state tables over one alphabet; entry F
-    of the result has byte t nonzero exactly when every two states of
-    tables[t] are apart under the accepting set {q : bit q of F is set}.
+    flat joins a nonempty list of k-state tables over width symbols, each
+    flat: the targets of state 0, then of state 1, and so on.  Entry F of
+    the result has byte t nonzero exactly when every two states of table t
+    are apart under the accepting set {q : bit q of F is set}.
     One bit-sliced pass over the whole list runs the refinement of
     canonical_languages on every table and every set at once.  Each state
     pair p < q holds one int with a field of 2**k bits per table, padded to
@@ -164,21 +164,19 @@ def _apart_columns(tables: Sequence[Sequence[Sequence[int]]]) -> list[bytes]:
     successor pair (delta(p, a), delta(q, a)) is j; sweeps run until one
     changes nothing.  A table's kept sets are the AND over its pairs.
 
-    The successor pairs of every table are read off one flat byte table of
-    the transitions, one byte column per (pair, symbol): the code s * k + t
-    of its successor pair, the smaller state first, and 0 for s = t, whose
-    apart int stays zero.  The columns are kept, each byte repeated to its
-    field's width; the masks are rebuilt from them on every sweep, one
-    translate each, since keeping them would take k * k times the memory.
+    The successor pairs of every table are read off flat, one byte column
+    per (pair, symbol): the code s * k + t of its successor pair, the
+    smaller state first, and 0 for s = t, whose apart int stays zero.  The
+    columns are kept, each byte repeated to its field's width; the masks
+    are rebuilt from them on every sweep, one translate each, since keeping
+    them would take k * k times the memory.
     A code must fit in one byte, so k <= 16 (and each field is 2**k bits);
     the enumeration cannot finish past 9 states anyway.
     """
-    k, width, count = len(tables[0]), len(tables[0][0]), len(tables)
     cells, sets = k * width, 1 << k
-    size = max(sets // 8, 1)
+    count, size = len(flat) // cells, max(sets // 8, 1)
     ones = int.from_bytes(b"\x01".ljust(size, b"\x00") * count, "little")
     inside = [sum(1 << f for f in range(sets) if f >> q & 1) for q in range(k)]
-    flat = bytes(itertools.chain.from_iterable(itertools.chain.from_iterable(tables)))
     scaled = bytes(b * k & 255 for b in range(256))
     # The code of successor pair (s, t), smaller state first; 0 for s = t.
     ordered = bytearray(256)
@@ -223,38 +221,44 @@ def _apart_columns(tables: Sequence[Sequence[Sequence[int]]]) -> list[bytes]:
     return [held[f // 8 :: size].translate(bits[f % 8]) for f in range(sets)]
 
 
-def _build(states: int, alphabet: Alphabet) -> tuple[tuple[int, int, list, bytes], ...]:
+def _build(states: int, alphabet: Alphabet) -> tuple[tuple[int, int, bytes], ...]:
     """The groups of canonical_languages(states, alphabet), in its order: _groups(k) for k = 1..states."""
     return tuple(itertools.chain.from_iterable(_groups(k, alphabet) for k in range(1, states + 1)))
 
 
 @lru_cache(maxsize=None)
-def _groups(k: int, alphabet: Alphabet) -> tuple[tuple[int, int, list, bytes], ...]:
+def _groups(k: int, alphabet: Alphabet) -> tuple[tuple[int, int, bytes], ...]:
     """The groups of the k-state languages, cached per k, so every size above draws them once.
 
-    One (k, f, tables, kept) per accepting set f: the k-state tables, one
-    list for all of k's groups, and f's _apart_columns entry, nonzero at the
-    tables it keeps.  enumerate_dfas yields each table's 2**k candidates in
-    a row: all are drawn, so its yields count them, and the first of each
-    gives the table.
+    One (k, f, kept) per accepting set f: kept joins the tables that f
+    keeps (_apart_columns) in the order enumerate_dfas yields them, each
+    flat, k * |alphabet| bytes.  enumerate_dfas yields each table's 2**k
+    candidates in a row: all are drawn, so its yields count them, and the
+    first of each gives the table.
     """
-    tables = [d.delta for d in itertools.islice(enumerate_dfas(k, alphabet), 0, None, 1 << k)]
-    columns = _apart_columns(tables)
+    deltas = (d.delta for d in itertools.islice(enumerate_dfas(k, alphabet), 0, None, 1 << k))
+    flat = bytes(itertools.chain.from_iterable(itertools.chain.from_iterable(deltas)))
+    columns, cells = _apart_columns(flat, k, len(alphabet)), k * len(alphabet)
+    tables = [flat[t : t + cells] for t in range(0, len(flat), cells)]
     order = sorted(range(1 << k), key=lambda f: (*[q for q in range(k) if f >> q & 1], k))
-    return tuple((k, f, tables, columns[f]) for f in order)
+    return tuple((k, f, b"".join(itertools.compress(tables, columns[f]))) for f in order)
+
+
+def _dfas(k: int, f: int, kept: bytes, alphabet: Alphabet, shared: dict) -> list[Dfa]:
+    """The Dfas of the flat tables joined in kept, all with accepting set f; shared keeps one delta per table."""
+    accepting = frozenset(q for q in range(k) if f >> q & 1)
+    deltas = zip(*[zip(*[iter(kept)] * len(alphabet))] * k)
+    return [tuple.__new__(Dfa, (k, alphabet, 0, accepting, shared.setdefault(d, d))) for d in deltas]
 
 
 @lru_cache(maxsize=None)
 def _canonical_languages(states: int, alphabet: Alphabet) -> tuple[Dfa, ...]:
-    languages: list[Dfa] = []
-    for k, f, tables, kept in _build(states, alphabet):
-        accepting = frozenset(q for q in range(k) if f >> q & 1)
-        languages += [tuple.__new__(Dfa, (k, alphabet, 0, accepting, d)) for d in itertools.compress(tables, kept)]
-    return tuple(languages)
+    shared: dict = {}
+    return tuple(itertools.chain.from_iterable(_dfas(*group, alphabet, shared) for group in _build(states, alphabet)))
 
 
 def _cache_clear() -> None:
-    for cached in (_groups, _canonical_languages, _mask_column, _nonempty_starts):
+    for cached in (_groups, _canonical_languages, _mask_column):
         cached.cache_clear()
 
 
@@ -278,23 +282,16 @@ class SearchReport(NamedTuple):
 def _nonempty_language(states: int, alphabet: Alphabet, index: int) -> Dfa:
     """[d for d in canonical_languages(states, alphabet) if d.accepting][index], from the build.
 
-    The group is found by bisecting the nonempty languages before each group
-    (_nonempty_starts), and the table by walking that group alone.
+    The groups are walked, counting their nonempty languages, to the one
+    holding the index, and the Dfa is made from its table's slice alone.
     """
-    starts = _nonempty_starts(states, alphabet)
-    g = bisect_right(starts, index) - 1
-    if not 0 <= index < starts[-1]:
-        raise IndexError(f"no nonempty language {index} of size <= {states}")
-    k, f, tables, kept = _build(states, alphabet)[g]
-    delta = next(itertools.islice(itertools.compress(tables, kept), index - starts[g], None))
-    return Dfa(k, alphabet, 0, frozenset(q for q in range(k) if f >> q & 1), delta)
-
-
-@lru_cache(maxsize=None)
-def _nonempty_starts(states: int, alphabet: Alphabet) -> list[int]:
-    """Entry g counts the nonempty languages of the groups of _build before group g; the last, all of them."""
-    counts = (kept.count(1) if f else 0 for _, f, _, kept in _build(states, alphabet))
-    return list(itertools.accumulate(counts, initial=0))
+    at, width = index, len(alphabet)
+    for k, f, kept in _build(states, alphabet):
+        count = len(kept) // (k * width) if f else 0
+        if 0 <= at < count:
+            return _dfas(k, f, kept[at * k * width : (at + 1) * k * width], alphabet, {})[0]
+        at -= count
+    raise IndexError(f"no nonempty language {index} of size <= {states}")
 
 
 @lru_cache(maxsize=None)
@@ -305,16 +302,13 @@ def _mask_column(states: int, alphabet: Alphabet) -> tuple[list, list[int]]:
     d.accepting][i], read off the build with no object made for it.
     moves[l][a] lists the (l2, mask) pairs whose mask holds the languages
     with delta(l, a) = l2, and accepts[l] the languages accepting l.  The
-    tables of each nonempty group are joined, last group first; its
-    reversed step slice at (l, a), or 255s when k <= l, reads as a base-2
+    nonempty groups are read last group first; the reversed step slice of
+    a group's tables at (l, a), or 255s when k <= l, reads as a base-2
     numeral once each byte is made a digit (SEARCH_BUDGET keeps k <= 6).
     """
     width = len(alphabet)
-    groups, records = [], {}  # groups: (k, f, kept tables' bytes, their count), last language first
-    for k, f, tables, kept in _build(states, alphabet):
-        rows = records.get(k) or records.setdefault(k, [bytes(itertools.chain.from_iterable(t)) for t in tables])
-        if f and (joined := b"".join(itertools.compress(rows, kept))):
-            groups.insert(0, (k, f, joined, len(joined) // (k * width)))
+    # (k, f, kept, its table count), last language first
+    groups = [(k, f, kept, len(kept) // (k * width)) for k, f, kept in reversed(_build(states, alphabet)) if f and kept]
     digits = [bytes(49 if b == l2 else 48 for b in range(256)) for l2 in range(states)]
     moves = []
     for l in range(states):
@@ -486,7 +480,7 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
 
     # Every state is reachable, so only the empty set gives an empty language,
     # and it keeps only the 1-state table: one empty language per size.
-    nonempty = [_nonempty_starts(s, alphabet)[-1] for s in sizes]
+    nonempty = [sum(len(kept) // (k * len(alphabet)) for k, f, kept in _build(s, alphabet) if f) for s in sizes]
     languages_per_size = tuple(n + 1 for n in nonempty)
 
     # The full language stands in for the mask list when no size exceeds 1

@@ -230,6 +230,13 @@ def test_verify_over_walk_limit_fails_fast(capsys, monkeypatch):
     assert err == "error: verify --max-n 76 needs 4355351 states, over the walk limit of 4194304\n"
 
 
+def test_verify_rejects_zero_max_n(capsys):
+    code, out, err = run_cli(capsys, "verify", "--max-n", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_n must be positive, got 0\n"
+
+
 # --- search -----------------------------------------------------------------
 
 
@@ -292,9 +299,12 @@ def test_search_csv_unsupported(capsys):
 
 
 def test_search_rejects_bad_sizes(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["search", "--sizes", "2,x"])
-    assert excinfo.value.code == 2
+    refusals = (("2,x", "sizes must be comma-separated integers"), ("2,0", "sizes must be positive integers"))
+    for text, message in refusals:
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "--sizes", text])
+        assert excinfo.value.code == 2
+        assert f"error: argument --sizes: {message}, got {text!r}\n" in capsys.readouterr().err
 
 
 def test_search_rejects_empty_sizes(capsys):

@@ -138,6 +138,8 @@ def test_witness_accepted_by_both():
 def test_witness_rejects_bad_sizes():
     with pytest.raises(ValueError):
         closed_form_witness(3, 2)
+    with pytest.raises(ValueError, match="^sizes must be positive, got m=0$"):
+        closed_form_witness(0, 3)
 
 
 # --- cycle_witness ----------------------------------------------------------

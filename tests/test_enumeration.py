@@ -151,6 +151,11 @@ def test_apart_sets_agree_with_moore_refinement(states, alphabet, accessible):
             assert (kept >> f & 1) == apart, (delta, f)
 
 
+def _flat(tables):
+    # The tables joined flat, as the build passes them to _apart_columns.
+    return bytes(itertools.chain.from_iterable(itertools.chain.from_iterable(tables)))
+
+
 @pytest.mark.parametrize("states, alphabet, accessible", APART_CASES)
 def test_apart_columns_equal_the_per_table_fixed_point(states, alphabet, accessible):
     # The pass over all tables at once decides every (table, set) as the
@@ -166,7 +171,7 @@ def test_apart_columns_equal_the_per_table_fixed_point(states, alphabet, accessi
     shuffled = list(tables)
     random.Random(states).shuffle(shuffled)
     for some in [tables, shuffled] + [[delta] for delta in tables[:64]]:
-        columns = enumeration._apart_columns(some)
+        columns = enumeration._apart_columns(_flat(some), states, len(alphabet))
         assert len(columns) == len(sets)
         assert all(len(column) == len(some) for column in columns)
         assert [[int(column[t] != 0) for column in columns] for t in range(len(some))] == [
@@ -743,21 +748,37 @@ def test_column_masks_oracle(states, alphabet):
         for name, alphabet in (("binary", BINARY), ("ternary", TERNARY), ("unary", UNARY))
         for n in (1, 2, 3)
     ]
-    + [pytest.param(4, BINARY, 97, id="binary-4-every-97th")],
+    + [pytest.param(4, BINARY, 3, id="binary-4-every-3rd")],
 )
 def test_nonempty_language_is_the_list_entry(states, alphabet, step):
     # The witness's mask language is made from its index alone.
     languages = [d for d in canonical_languages(states, alphabet) if d.accepting]
     for i in range(0, len(languages), step):
         assert enumeration._nonempty_language(states, Alphabet(alphabet), i) == languages[i]
-    with pytest.raises(IndexError):
-        enumeration._nonempty_language(states, Alphabet(alphabet), len(languages))
+    for index in (len(languages), -1):
+        with pytest.raises(IndexError, match=f"^no nonempty language {index} of size <= {states}$"):
+            enumeration._nonempty_language(states, Alphabet(alphabet), index)
+
+
+def test_build_4_held_memory():
+    # The size-4 groups hold one byte string per accepting set: 8 bytes for
+    # each of the 56,014 four-state languages, about 0.45 MB, and about
+    # 0.5 MB with the smaller sizes.  Tuple tables beside a 0/1 column per
+    # accepting set held about 1.7 MB.
+    canonical_languages.cache_clear()
+    tracemalloc.start()
+    try:
+        enumeration._build(4, BINARY)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
 
 
 def test_column_masks_peak_memory():
-    # The size-4 mask column read off the cached build: the kept tables'
-    # bytes, 57,067 records of at most 8 bytes, about 0.46 MB, and the
-    # tracemalloc peak about 1.1 MB.
+    # The size-4 mask column read off the cached build's byte strings, step
+    # slices of them joined per (state, symbol): the tracemalloc peak is
+    # about 0.42 MB.  Joining per-table records first peaked at 1.1 MB.
     enumeration._build(4, BINARY)
     enumeration._mask_column.cache_clear()
     tracemalloc.start()
@@ -771,7 +792,7 @@ def test_column_masks_peak_memory():
 
 def test_search_4_peak_memory():
     # All of search --sizes 4 in-process, the build included, peaks at about
-    # 2.9 MB.  Making the 57,068 DFAs of canonical_languages(4) for the mask
+    # 1.2 MB.  Making the 57,068 DFAs of canonical_languages(4) for the mask
     # column, as the search once did, peaks at over 9 MB.
     canonical_languages.cache_clear()
     tracemalloc.start()
@@ -787,13 +808,13 @@ def test_search_4_peak_memory():
 def test_apart_columns_peak_memory():
     # The 5,248 binary 4-state tables: each of the 6 pairs' ints and 12
     # successor columns holds 2 bytes a table, about 10 KB, and the masks
-    # are rebuilt every sweep, so the pass peaks at about 0.39 MB.  Keeping
+    # are rebuilt every sweep, so the pass peaks at about 0.35 MB.  Keeping
     # a mask per (pair, symbol, successor pair) instead would hold 72 such
     # ints, about 0.76 MB more.
-    tables = [d.delta for d in itertools.islice(enumerate_dfas(4), 0, None, 16)]
+    flat = _flat([d.delta for d in itertools.islice(enumerate_dfas(4), 0, None, 16)])
     tracemalloc.start()
     try:
-        enumeration._apart_columns(tables)
+        enumeration._apart_columns(flat, 4, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
