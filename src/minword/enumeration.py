@@ -16,8 +16,8 @@ read off the tables of the build with no DFA object made per language, so
 one breadth-first pass over a row, a tuple of the other lists (folded into
 intersection classes where that is cheap), finds the shortest word of the
 row's intersection with every language of the column at once.  A list is
-folded with itself one unordered pair at a time, and a row that a swap of
-two letters sends to a smaller row is skipped.
+folded with itself one unordered pair at a time, and a row is skipped when
+a swap of two letters lowers its key before the mask column.
 """
 
 from __future__ import annotations
@@ -368,26 +368,27 @@ def _row_pass(row: Dfa, moves: list, accepts: list[int], everything: int) -> tup
     return last
 
 
-def _letter_images(nonempties: dict[int, list[Dfa]], others: Sequence[int], width: int) -> list[list[list[int]]]:
+def _letter_images(nonempties: dict[int, list[Dfa]], sizes: Sequence[int], width: int) -> list[list[list[int]]]:
     """For each swap of letters a and a + 1, where it sends the languages of each column.
 
-    Entry a holds, for each size s of others in turn, the list whose item i
+    Entry a holds, for each size s of sizes in turn, the list whose item i
     is the index in nonempties[s] of language i with letters a and a + 1
     swapped in every row.  The swapped table's states are all apart, as the
     language's are, so one walk numbering them breadth-first makes it the
     canonical minimal DFA, and a dict finds that in the list, which holds
     it: a renaming of letters keeps the state complexity and the
-    nonemptiness of a language.  Columns of one size share one list.
+    nonemptiness of a language.  Columns of one size share one list, and
+    only the sizes given are walked.  With none, no swap is made.
     """
     swaps = []
-    for a in range(width - 1):
+    for a in range(width - 1 if sizes else 0):
         swap = itemgetter(*range(a), a + 1, a, *range(a + 2, width))
         images = {}
-        for s, languages in nonempties.items():
-            index = {(d.accepting, d.delta): i for i, d in enumerate(languages)}
-            walks = (walk([d._replace(delta=tuple(map(swap, d.delta)))]) for d in languages)
+        for s in set(sizes):
+            index = {(d.accepting, d.delta): i for i, d in enumerate(nonempties[s])}
+            walks = (walk([d._replace(delta=tuple(map(swap, d.delta)))]) for d in nonempties[s])
             images[s] = [index[frozenset(found.accepting), tuple(found.rows)] for found in walks]
-        swaps.append([images[s] for s in others])
+        swaps.append([images[s] for s in sizes])
     return swaps
 
 
@@ -427,8 +428,9 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
     goes in at the mask column's place.  A least key attaining the maximum
     is a class's least key with the same mask language, so the search keeps
     the first strictly larger maximum and, on a tie, the least full key.
-    Only when the mask column is last is that the first row, so only then
-    does it stop at the target prod(sizes) - 1, which no lss exceeds.  One
+    Rows come in key order, so once the best is the target prod(sizes) - 1,
+    which no lss exceeds, the search stops at the first row whose prefix,
+    its key before the mask column's place, passes the best key's.  One
     stopping walk of the witness tuple, its languages made from their
     indices by _nonempty_language, spells the shortlex-least witness.
 
@@ -438,17 +440,15 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
     (j, i) reaches the class of (i, j) after it, and the pairs met keep the
     order of the full product, so every class keeps its least key and its
     place.  Renaming the letters of every component at once keeps every
-    lss and maps the mask column onto itself.  When the mask column is
-    last, a row's key is its full key without the mask index, and a row is
-    skipped before its meet when swapping two adjacent letters sends its
-    key to a smaller one (_letter_images).  The renamed tuple reaches a row
-    with a key no larger than the renamed key, whose meet is the renamed
-    meet, so it has the same lss against each renamed mask language and
-    the same maximum: the skipped row cannot hold the least attaining key,
-    and swaps followed down from it end at a row that is passed.  With the
-    mask column elsewhere the mask index sits inside the full key, and
-    nothing is skipped.  Only the |alphabet| - 1 adjacent swaps are tried,
-    not every renaming: skipping fewer rows is always safe.
+    lss and maps the mask column onto itself.  A row is skipped before its
+    meet when a swap of two adjacent letters lowers its prefix
+    (_letter_images).  The swap sends the row's tuple into a row whose key
+    is at most the swapped key, column by column (a class's key is its
+    least), so that row's prefix is lower.  Its meet is the swapped meet,
+    with the same maximum, so its full key is smaller whatever the mask
+    index.  Prefixes strictly fall, so swaps followed down end at a passed
+    row.  Only the |alphabet| - 1 adjacent swaps are tried, not every
+    renaming: skipping fewer rows is always safe.
 
     Products over MAX_PRODUCT_STATES states are refused, and so are more
     than MAX_PRODUCT_STATES components: within the limit at most 6 are
@@ -493,8 +493,7 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
     nonempties = {s: [d for d in canonical_languages(s, alphabet) if d.accepting] for s in dict.fromkeys(others)}
     lists = {s: [((i,), d) for i, d in enumerate(languages)] for s, languages in nonempties.items()}
     columns = [lists[s] for s in others]
-    last = place >= len(listed) - 1
-    images = _letter_images(nonempties, others, len(alphabet)) if last and others else []
+    images = _letter_images(nonempties, others[:place], len(alphabet))
     while len(columns) > 1 and len(columns[0]) * len(columns[1]) <= MAX_FOLD_PRODUCTS:
         folded: dict[Dfa, tuple[int, ...]] = {}
         if columns[0] is columns[1]:
@@ -521,7 +520,10 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
     for row in itertools.product(*columns):
         keys, dfas = zip(*row)
         row_key = tuple(itertools.chain.from_iterable(keys))
-        if any(tuple(map(getitem, image, row_key)) < row_key for image in images):
+        prefix = row_key[:place]
+        if best_lss == target and prefix > best_key[:place]:
+            break
+        if any(tuple(map(getitem, image, prefix)) < prefix for image in images):
             continue
         # A row of one column is minimal already: a canonical language, a
         # fold class or the full language.
@@ -529,11 +531,9 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
         lss, resolved = _row_pass(meet, moves, accepts, everything)
         if lss < best_lss or not resolved:
             continue
-        key = (*row_key[:place], (resolved & -resolved).bit_length() - 1, *row_key[place:])
+        key = (*prefix, (resolved & -resolved).bit_length() - 1, *row_key[place:])
         if lss > best_lss or key < best_key:
             best_lss, best_key = lss, key
-            if best_lss == target and last:
-                break
 
     picked = [_nonempty_language(s, alphabet, i) for s, i in zip(listed, best_key)]
     witness_dfas = tuple(picked.pop(0) if s > 1 else full for s in sizes)

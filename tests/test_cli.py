@@ -275,8 +275,10 @@ def test_search_3_4_structured_digest(capsys):
     [
         # The mask column and a column share one language build.
         ("3,3", "01fe9dfadfafa7769d9733477706a4f817e722cfd28fdcfbcdd7837816d89c20"),
-        # The mask column is not last, so the search cannot stop at the target.
+        # The mask column between two lists: the letter rule reads the row
+        # key before it, one index of (2,3,2) and two of (2,2,3,2).
         ("2,3,2", "a569d0ad9f2d2fb4437f0ed6cc26659799f6e789b873b2ac20ed1e4476d18b0d"),
+        ("2,2,3,2", "965141d88588f9c6e050875042aaaa0bee981fa5c0e9804db88cabdcb9028afc"),
         # Size-1 padding on both sides of the mask column.
         ("1,3,1", "9e477d4428ae68b25d40691d95fd18731e077b88a5b0c2990dfdc31512c55486"),
         # One list folded with itself, one unordered pair at a time, under the

@@ -64,6 +64,8 @@ def test_one_state_over_a_large_alphabet():
     assert len(canonical_languages(1, letters)) == 2
     report = tightness_search([1], letters)
     assert (report.max_lss, report.attained, report.witness_word) == (0, True, ())
+    # With no list the prefix is empty, and none of the 1,199 swaps is made.
+    assert enumeration._letter_images({}, [], len(letters)) == []
 
 
 def test_enumerated_dfas_are_valid_with_initial_zero():
@@ -466,6 +468,9 @@ def _oracle_cases():
     binary = [(1, 3), (2, 2), (2, 3), (3, 2), (2, 1, 2), (2, 2, 2)] + _size_tuples((1, 2))
     cases = {(sizes, BINARY): ",".join(map(str, sizes)) for sizes in binary}
     cases.update({(sizes, UNARY): "unary-" + ",".join(map(str, sizes)) for sizes in _size_tuples((1, 2, 3))})
+    # Unary (2,5,3) attains its target of 29 with the mask column in the
+    # middle, so it stops at the first row whose prefix passes the best's.
+    cases[(2, 5, 3), UNARY] = "unary-2,5,3"
     for sizes in ((2, 2), (1,), (2,), (1, 2), (2, 1), (2, 1, 2)):
         cases[sizes, TERNARY] = "ternary-" + ",".join(map(str, sizes))
     return [pytest.param(sizes, alphabet, id=name) for (sizes, alphabet), name in cases.items()]
@@ -485,10 +490,13 @@ def _scanned(sizes, alphabet):
     return _SCANNED[sizes, alphabet]
 
 
-# The binary and ternary cases with a list besides the mask column, and
-# the mask column last, run the letter rule; the binary (3,2) and the unary
-# (3,2,2), (2,3,2) and (3,1,2) put the mask column before another list.
-# Two equal raw lists are folded one unordered pair at a time.
+# The binary and ternary cases with a list before the mask column skip rows
+# by the letter rule on the prefix, the row key before the mask column; the
+# binary (3,2) puts the mask column first, with an empty prefix.  Unary
+# cases make no swap.  With the mask column between two lists, unary
+# (2,3,2) and (2,5,3) read a prefix that is neither empty nor the whole row
+# key, and (2,5,3) stops at its target on it.  Two equal raw lists are
+# folded one unordered pair at a time.
 @pytest.mark.parametrize("sizes, alphabet", _oracle_cases())
 def test_fold_equals_scan_oracle(sizes, alphabet):
     report = tightness_search(sizes, alphabet)
@@ -562,7 +570,8 @@ def test_letter_rule_passes_the_least_class_of_each_orbit(monkeypatch):
     # 135 classes, each under its least key; the letter rule passes those
     # whose key is no larger than its image, 78, in fold order.  (4,2,2)
     # folds the same list with itself, but its mask column comes first, so
-    # the rule is off and all 135 classes are rows, with no image map.
+    # the row key before it is empty: no swap lowers that, and all 135
+    # classes are rows, with no image map.
     languages = [d for d in canonical_languages(2) if d.accepting]
     swapped = _swapped(languages)
     classes = {}
@@ -579,6 +588,38 @@ def test_letter_rule_passes_the_least_class_of_each_orbit(monkeypatch):
     rows.clear()
     tightness_search([4, 2, 2])
     assert (len(calls), rows) == (325, list(classes))
+
+
+# The letter rule reads the prefix, the row key before the mask column's
+# place, wherever that is: the rows it passes give the report of the same
+# search with no swap.  (2,3,2) and (2,3,1,2) skip the rows whose first
+# index a swap lowers: under cap 0, where a row is a tuple of raw indices,
+# those led by 10 of the 25 binary size-2 languages; folded, 41 of the 135
+# classes.  (2,2,3,2) reads a prefix of two indices.  (3,2,2,2) puts the
+# mask column first, so its prefix is empty and every row is passed.
+@pytest.mark.parametrize(
+    "sizes, cap, passed",
+    [
+        pytest.param((2, 3, 2), 0, (375, 625), id="2,3,2-unfolded"),
+        pytest.param((2, 3, 2), enumeration.MAX_FOLD_PRODUCTS, (94, 135), id="2,3,2"),
+        pytest.param((2, 2, 3, 2), 0, (8125, 15625), id="2,2,3,2-unfolded"),
+        pytest.param((2, 2, 3, 2), enumeration.MAX_FOLD_PRODUCTS, (198, 281), id="2,2,3,2"),
+        pytest.param((2, 3, 1, 2), 0, (375, 625), id="2,3,1,2-unfolded"),
+        pytest.param((2, 3, 1, 2), enumeration.MAX_FOLD_PRODUCTS, (94, 135), id="2,3,1,2"),
+        pytest.param((3, 2, 2, 2), enumeration.MAX_FOLD_PRODUCTS, (281, 281), id="3,2,2,2"),
+    ],
+)
+def test_letter_rule_reads_the_prefix(monkeypatch, sizes, cap, passed):
+    monkeypatch.setattr(enumeration, "MAX_FOLD_PRODUCTS", cap)
+    _, rows = _count_fold_meets(monkeypatch)
+    found = []
+    for letter_images in (enumeration._letter_images, lambda *args: []):
+        monkeypatch.setattr(enumeration, "_letter_images", letter_images)
+        rows.clear()
+        report = tightness_search(sizes)
+        found.append(((report.max_lss, report.witness_dfas, report.witness_word), len(rows)))
+    assert found[0][0] == found[1][0]
+    assert (found[0][1], found[1][1]) == passed
 
 
 @pytest.mark.parametrize(
@@ -787,7 +828,7 @@ def test_column_masks_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3_000_000
+    assert peak < 1_000_000
 
 
 def test_search_4_peak_memory():
@@ -802,7 +843,7 @@ def test_search_4_peak_memory():
     finally:
         tracemalloc.stop()
         canonical_languages.cache_clear()
-    assert peak < 6_000_000
+    assert peak < 2_500_000
 
 
 def test_apart_columns_peak_memory():
