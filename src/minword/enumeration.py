@@ -15,9 +15,9 @@ The longest list is the mask column: its languages are bits of Python ints,
 read off the tables of the build with no DFA object made per language, so
 one breadth-first pass over a row, a tuple of the other lists (folded into
 intersection classes where that is cheap), finds the shortest word of the
-row's intersection with every language of the column at once.  A list is
-folded with itself one unordered pair at a time, and a row is skipped when
-a swap of two letters lowers its key before the mask column.
+row's intersection with every language of the column at once.  Fold steps
+and rows come from one key-ordered stream that meets a repeated list once
+per sorted tuple and skips a row a swap of two letters lowers.
 """
 
 from __future__ import annotations
@@ -392,6 +392,36 @@ def _letter_images(nonempties: dict[int, list[Dfa]], sizes: Sequence[int], width
     return swaps
 
 
+def _rows(columns: Sequence[list], place: int, images: list[list[list[int]]]) -> Iterator[tuple[tuple, tuple, tuple]]:
+    """(prefix, rest, languages) for each row of the columns that no symmetry drops, in key order.
+
+    A row is one (key, dfa) entry per column, in product order, which is
+    key order (a column's keys have one length); its joined key splits at
+    place into prefix and rest.  Where one list fills several columns, a
+    row whose key falls from one of them to a later one is dropped: swapping
+    the two entries keeps the meet, so the maximum and the mask index, and
+    lowers the full key at the earlier position, wherever the mask column
+    sits.  Over [L, L] the pairs i <= j are left.  A row is dropped when a
+    swap of two adjacent letters (images) lowers its prefix.  That swap,
+    made in every component, keeps every lss and maps the mask column onto
+    itself; the swapped tuple lies in a row whose key is at most the
+    swapped key, column by column (a class's key is its least), so its
+    prefix is lower, its maximum the same and its full key smaller whatever
+    the mask index.  So the least full key attaining the maximum, or the
+    least key reaching a fold class, is never dropped.
+    """
+    repeats = [(b, c) for c in range(len(columns)) for b in range(c) if columns[b] is columns[c]]
+    for row in itertools.product(*columns):
+        if any(row[b][0] > row[c][0] for b, c in repeats):
+            continue
+        keys, languages = zip(*row)
+        key = tuple(itertools.chain.from_iterable(keys))
+        prefix = key[:place]
+        if any(tuple(map(getitem, image, prefix)) < prefix for image in images):
+            continue
+        yield prefix, key[place:], languages
+
+
 def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> SearchReport:
     """Exhaustively search size-bounded language tuples for the maximum lss.
 
@@ -411,53 +441,34 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
     last on a tie, and the full language alone with no size above 1.  Its
     masks come from the language build (_mask_column), bit i for language
     i, with no Dfa made for them.  Each other list, from canonical_languages,
-    is a column of (key, dfa) entries in key order, language i under key
-    (i,).  Every meet, of a fold pair or of a row of several columns, is one
-    minimize call on its languages; a row of one column is its one entry.
+    is a column of (key, dfa) entries, language i under key (i,).
 
     A tuple's lss depends only on its intersection language, so while more
-    than one other column remains and the first two meet at most
-    MAX_FOLD_PRODUCTS pairs, they are folded into one column of intersection
-    classes.  A class's key is the concatenated keys of the first pair
-    reaching it in key order, its least: a key reaching it extends some key
-    k of an entry C of the first column, C's least key is no larger than k,
-    and the same extension of it reaches the same intersection.  A row is
-    one tuple of the other columns, in key order (with none left, the full
-    language).  One _row_pass on the meet of a row gives its maximum over
-    the mask column and the least mask language attaining it, whose index
-    goes in at the mask column's place.  A least key attaining the maximum
-    is a class's least key with the same mask language, so the search keeps
-    the first strictly larger maximum and, on a tie, the least full key.
-    Rows come in key order, so once the best is the target prod(sizes) - 1,
-    which no lss exceeds, the search stops at the first row whose prefix,
-    its key before the mask column's place, passes the best key's.  One
-    stopping walk of the witness tuple, its languages made from their
-    indices by _nonempty_language, spells the shortlex-least witness.
-
-    Two symmetries of the question drop work and change no report.
-    Intersection commutes, so when the two columns of a fold step are one
-    list (raw columns of one size) only the pairs i <= j are met: pair
-    (j, i) reaches the class of (i, j) after it, and the pairs met keep the
-    order of the full product, so every class keeps its least key and its
-    place.  Renaming the letters of every component at once keeps every
-    lss and maps the mask column onto itself.  A row is skipped before its
-    meet when a swap of two adjacent letters lowers its prefix
-    (_letter_images).  The swap sends the row's tuple into a row whose key
-    is at most the swapped key, column by column (a class's key is its
-    least), so that row's prefix is lower.  Its meet is the swapped meet,
-    with the same maximum, so its full key is smaller whatever the mask
-    index.  Prefixes strictly fall, so swaps followed down end at a passed
-    row.  Only the |alphabet| - 1 adjacent swaps are tried, not every
-    renaming: skipping fewer rows is always safe.
+    than one other column remains and the first two make at most
+    MAX_FOLD_PRODUCTS pairs, counted before _rows drops any, the pairs it
+    gives over the two are folded into one column of intersection classes.
+    A class's key is that of the first pair reaching it, its least: a key
+    reaching it extends some key k of an entry C of the first column, C's
+    least key is no larger than k, and the same extension of it reaches the
+    same intersection.  The rows are what _rows gives over the columns left
+    (with none, the full language).  One _row_pass on a row's meet gives
+    its maximum over the mask column and the least mask language attaining
+    it, whose index goes in at the mask column's place: a least key
+    attaining the maximum is a class's least key with that mask language,
+    so the search keeps the first strictly larger maximum and, on a tie,
+    the least full key.  Rows come in key order, so once the best is the
+    target prod(sizes) - 1, which no lss exceeds, the search stops at the
+    first row whose prefix passes the best key's.  One stopping walk of the
+    witness tuple, its languages made by _nonempty_language, spells the
+    shortlex-least witness.
 
     Products over MAX_PRODUCT_STATES states are refused, and so are more
     than MAX_PRODUCT_STATES components: within the limit at most 6 are
     above size 1.  SEARCH_BUDGET bounds the raw DFAs behind the lists,
     s**(s*|alphabet|) tables times 2**s accepting sets per size s (checked,
     like the limits above, before any enumeration, though the build fills
-    only the accessible tables), and the rows left after the fold, skipped
-    or not, times the 64-bit words of a mask (checked before the first
-    row).  The fold guard counts every ordered pair of a step, met or not.
+    only the accessible tables), and the rows left after the fold, dropped
+    or not, times the 64-bit words of a mask (checked before the first row).
     """
     sizes, alphabet = tuple(sizes), Alphabet(alphabet)
     if not sizes:
@@ -496,15 +507,9 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
     images = _letter_images(nonempties, others[:place], len(alphabet))
     while len(columns) > 1 and len(columns[0]) * len(columns[1]) <= MAX_FOLD_PRODUCTS:
         folded: dict[Dfa, tuple[int, ...]] = {}
-        if columns[0] is columns[1]:
-            pairs = itertools.combinations_with_replacement(columns[0], 2)
-        else:
-            pairs = itertools.product(columns[0], columns[1])
-        for (key, a), (tail, b) in pairs:
-            meet = minimize(a, b)
-            if meet.accepting:
-                folded.setdefault(meet, key + tail)
-        columns[:2] = [[(key, d) for d, key in folded.items()]]
+        for _, key, dfas in _rows(columns[:2], 0, []):
+            folded.setdefault(minimize(*dfas), key)
+        columns[:2] = [[(key, d) for d, key in folded.items() if d.accepting]]
     columns = columns or [[((), full)]]
     rows, words = prod(len(column) for column in columns), -(-mask_bits // 64)
     if rows * words > SEARCH_BUDGET:
@@ -517,21 +522,16 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
     moves, accepts = _mask_column(masked, alphabet)
     everything = (1 << mask_bits) - 1
     best_lss, best_key = -1, ()
-    for row in itertools.product(*columns):
-        keys, dfas = zip(*row)
-        row_key = tuple(itertools.chain.from_iterable(keys))
-        prefix = row_key[:place]
+    for prefix, rest, dfas in _rows(columns, place, images):
         if best_lss == target and prefix > best_key[:place]:
             break
-        if any(tuple(map(getitem, image, prefix)) < prefix for image in images):
-            continue
         # A row of one column is minimal already: a canonical language, a
         # fold class or the full language.
         meet = minimize(*dfas) if len(dfas) > 1 else dfas[0]
         lss, resolved = _row_pass(meet, moves, accepts, everything)
         if lss < best_lss or not resolved:
             continue
-        key = (*prefix, (resolved & -resolved).bit_length() - 1, *row_key[place:])
+        key = (*prefix, (resolved & -resolved).bit_length() - 1, *rest)
         if lss > best_lss or key < best_key:
             best_lss, best_key = lss, key
 

@@ -471,6 +471,9 @@ def _oracle_cases():
     # Unary (2,5,3) attains its target of 29 with the mask column in the
     # middle, so it stops at the first row whose prefix passes the best's.
     cases[(2, 5, 3), UNARY] = "unary-2,5,3"
+    # Unary (2,3,2,3) has its one size-2 list in two columns with a size-3
+    # list between them, before the mask column.
+    cases[(2, 3, 2, 3), UNARY] = "unary-2,3,2,3"
     for sizes in ((2, 2), (1,), (2,), (1, 2), (2, 1), (2, 1, 2)):
         cases[sizes, TERNARY] = "ternary-" + ",".join(map(str, sizes))
     return [pytest.param(sizes, alphabet, id=name) for (sizes, alphabet), name in cases.items()]
@@ -495,8 +498,8 @@ def _scanned(sizes, alphabet):
 # binary (3,2) puts the mask column first, with an empty prefix.  Unary
 # cases make no swap.  With the mask column between two lists, unary
 # (2,3,2) and (2,5,3) read a prefix that is neither empty nor the whole row
-# key, and (2,5,3) stops at its target on it.  Two equal raw lists are
-# folded one unordered pair at a time.
+# key, and (2,5,3) stops at its target on it.  A list repeated is met once
+# per sorted tuple, in a fold step or in the rows.
 @pytest.mark.parametrize("sizes, alphabet", _oracle_cases())
 def test_fold_equals_scan_oracle(sizes, alphabet):
     report = tightness_search(sizes, alphabet)
@@ -505,7 +508,9 @@ def test_fold_equals_scan_oracle(sizes, alphabet):
 
 # The same cases with no fold, and with a fold only of lists short enough
 # that the product of their lengths is at most 30 (unary size 2 has 5
-# nonempty languages, unary size 3 has 17, binary size 2 has 25).
+# nonempty languages, unary size 3 has 17, binary size 2 has 25).  Under
+# both caps unary (2,3,2,3) keeps its rows unfolded, so they skip the
+# tuples whose two size-2 indices fall across the size-3 column.
 @pytest.mark.parametrize("cap", [0, 30])
 @pytest.mark.parametrize("sizes, alphabet", _oracle_cases())
 def test_fold_cap_sweep_equals_scan_oracle(monkeypatch, sizes, alphabet, cap):
@@ -549,20 +554,40 @@ def _swapped(languages):
 # before the mask column.  The fold guard counts its 25 * 25 pairs, so the
 # fold runs only under a cap of at least 625.  It then meets the 325
 # unordered pairs once each, the 25 that hold the full language too, and
-# the 135 classes it keeps are the rows; without it the 625 pairs are.
-# The letter rule passes 78 of the classes, or 325 of the pairs; its image
-# map walks each language once and makes no meet.
+# the 135 classes it keeps are the rows; without it the rows are the 325
+# unordered pairs too, one list filling both columns.  The letter rule
+# passes 78 of the classes, or 187 of the unordered pairs; its image map
+# walks each language once and makes no meet.
 @pytest.mark.parametrize("cap, counted", [(0, 0), (624, 0), (625, 625)])
 def test_fold_cap_walks_the_rest(monkeypatch, cap, counted):
     calls, rows = _count_fold_meets(monkeypatch)
     monkeypatch.setattr(enumeration, "MAX_FOLD_PRODUCTS", cap)
     report = tightness_search([2, 2, 2])
-    assert (len(calls), len(rows)) == ((325, 78) if counted else (0, 325))
+    assert (len(calls), len(rows)) == ((325, 78) if counted else (0, 187))
     swapped = _swapped([d for d in canonical_languages(2) if d.accepting])
-    pairs = itertools.product(range(25), repeat=2)
+    pairs = list(itertools.product(range(25), repeat=2))
     assert sum((swapped[i], swapped[j]) >= (i, j) for i, j in pairs) == 325
+    assert sum(i <= j and (swapped[i], swapped[j]) >= (i, j) for i, j in pairs) == 187
     lists = [[d for d in canonical_languages(2) if d.accepting]] * 3
     assert (report.max_lss, report.witness_dfas, report.witness_word) == scan_oracle(lists)
+
+
+def test_rows_meet_a_repeated_list_once_per_sorted_tuple():
+    # With no letter images, one list object in two columns gives the pairs
+    # that combinations_with_replacement gives, in its order, and across a
+    # column of two-index keys the product rows whose first key is at most
+    # their third, keys joined and split at the place.  An equal list that
+    # is another object is a column of its own.
+    languages = [d for d in canonical_languages(2, UNARY) if d.accepting]
+    one = [((i,), d) for i, d in enumerate(languages)]
+    other = [((0, 1), "a"), ((0, 3), "b"), ((2, 0), "c")]
+    pairs = itertools.combinations_with_replacement(one, 2)
+    assert list(enumeration._rows([one, one], 0, [])) == [((), a + b, (d, e)) for (a, d), (b, e) in pairs]
+    rows = itertools.product(one, other, one)
+    assert list(enumeration._rows([one, other, one], 1, [])) == [
+        (a, b + c, (d, e, f)) for (a, d), (b, e), (c, f) in rows if a <= c
+    ]
+    assert len(list(enumeration._rows([one, list(one)], 0, []))) == len(one) ** 2
 
 
 def test_letter_rule_passes_the_least_class_of_each_orbit(monkeypatch):
@@ -593,18 +618,20 @@ def test_letter_rule_passes_the_least_class_of_each_orbit(monkeypatch):
 # The letter rule reads the prefix, the row key before the mask column's
 # place, wherever that is: the rows it passes give the report of the same
 # search with no swap.  (2,3,2) and (2,3,1,2) skip the rows whose first
-# index a swap lowers: under cap 0, where a row is a tuple of raw indices,
-# those led by 10 of the 25 binary size-2 languages; folded, 41 of the 135
-# classes.  (2,2,3,2) reads a prefix of two indices.  (3,2,2,2) puts the
-# mask column first, so its prefix is empty and every row is passed.
+# index a swap lowers: under cap 0, where a row is a tuple of raw indices
+# of one list, in sorted order, the 116 of the 325 pairs i <= j led by 10
+# of the 25 binary size-2 languages; folded, 41 of the 135 classes.
+# (2,2,3,2) reads a prefix of two indices; unfolded, its rows are the
+# 2,925 sorted triples.  (3,2,2,2) puts the mask column first, so its
+# prefix is empty and every row is passed.
 @pytest.mark.parametrize(
     "sizes, cap, passed",
     [
-        pytest.param((2, 3, 2), 0, (375, 625), id="2,3,2-unfolded"),
+        pytest.param((2, 3, 2), 0, (209, 325), id="2,3,2-unfolded"),
         pytest.param((2, 3, 2), enumeration.MAX_FOLD_PRODUCTS, (94, 135), id="2,3,2"),
-        pytest.param((2, 2, 3, 2), 0, (8125, 15625), id="2,2,3,2-unfolded"),
+        pytest.param((2, 2, 3, 2), 0, (1805, 2925), id="2,2,3,2-unfolded"),
         pytest.param((2, 2, 3, 2), enumeration.MAX_FOLD_PRODUCTS, (198, 281), id="2,2,3,2"),
-        pytest.param((2, 3, 1, 2), 0, (375, 625), id="2,3,1,2-unfolded"),
+        pytest.param((2, 3, 1, 2), 0, (209, 325), id="2,3,1,2-unfolded"),
         pytest.param((2, 3, 1, 2), enumeration.MAX_FOLD_PRODUCTS, (94, 135), id="2,3,1,2"),
         pytest.param((3, 2, 2, 2), enumeration.MAX_FOLD_PRODUCTS, (281, 281), id="3,2,2,2"),
     ],
