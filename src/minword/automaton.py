@@ -7,6 +7,7 @@ Lexicographic order on words is induced by the alphabet's symbol order.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[int, ...]
@@ -109,17 +110,22 @@ def validate(dfa: Dfa) -> None:
 
 
 def run(dfa: Dfa, word: Iterable[int], start: int | None = None) -> int:
-    """Fold the word through the transition table; empty word returns the start state."""
+    """Fold the word through the transition table; empty word returns the start state.
+
+    The symbols are range-checked once, as a set, before the fold.
+    """
     if start is None:
         state = dfa.initial
     elif 0 <= start < dfa.state_count:
         state = start
     else:
         raise ValueError(f"start state {start} out of range for {dfa.state_count} states")
-    width, delta = len(dfa.alphabet), dfa.delta
+    word, width, delta = tuple(word), len(dfa.alphabet), dfa.delta
+    symbols = frozenset(range(width))
+    if not symbols.issuperset(word):
+        bad = next(sym for sym in word if sym not in symbols)
+        raise ValueError(f"symbol index {bad} out of range for alphabet of size {width}")
     for sym in word:
-        if not 0 <= sym < width:
-            raise ValueError(f"symbol index {sym} out of range for alphabet of size {width}")
         state = delta[state][sym]
     return state
 
@@ -159,4 +165,5 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
 
 
 def format_word(alphabet: Alphabet, word: Sequence[int]) -> str:
-    return "".join([alphabet[sym] for sym in word])
+    """The word's labels joined; one symbol gives its label, as "".join(label) == label."""
+    return "".join(itemgetter(*word)(alphabet)) if word else ""

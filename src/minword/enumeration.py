@@ -396,9 +396,10 @@ def _rows(columns: Sequence[list], place: int, images: list[list[list[int]]]) ->
     """(prefix, rest, languages) for each row of the columns that no symmetry drops, in key order.
 
     A row is one (key, dfa) entry per column, in product order, which is
-    key order (a column's keys have one length); its joined key splits at
-    place into prefix and rest.  Where one list fills several columns, a
-    row whose key falls from one of them to a later one is dropped: swapping
+    key order (a column's keys rise and have one length); its joined key
+    splits at place into prefix and rest.  Where one list fills several
+    columns, a row whose key falls from one of them to a later one is never
+    built, as each of them starts at the entry the one before took: swapping
     the two entries keeps the meet, so the maximum and the mask index, and
     lowers the full key at the earlier position, wherever the mask column
     sits.  Over [L, L] the pairs i <= j are left.  A row is dropped when a
@@ -410,10 +411,21 @@ def _rows(columns: Sequence[list], place: int, images: list[list[list[int]]]) ->
     the mask index.  So the least full key attaining the maximum, or the
     least key reaching a fold class, is never dropped.
     """
-    repeats = [(b, c) for c in range(len(columns)) for b in range(c) if columns[b] is columns[c]]
-    for row in itertools.product(*columns):
-        if any(row[b][0] > row[c][0] for b, c in repeats):
-            continue
+    # The last earlier column with the same list, or -1.
+    earlier = [max((b for b in range(c) if columns[b] is columns[c]), default=-1) for c in range(len(columns))]
+    last = len(columns) - 1
+
+    def sorted_rows(c: int, taken: tuple[int, ...], row: tuple) -> Iterator[tuple]:
+        column, b = columns[c], earlier[c]
+        start = taken[b] if b >= 0 else 0
+        if c == last:
+            for entry in column[start:]:
+                yield (*row, entry)
+            return
+        for i in range(start, len(column)):
+            yield from sorted_rows(c + 1, (*taken, i), (*row, column[i]))
+
+    for row in sorted_rows(0, (), ()):
         keys, languages = zip(*row)
         key = tuple(itertools.chain.from_iterable(keys))
         prefix = key[:place]

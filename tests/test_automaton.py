@@ -99,6 +99,20 @@ def test_run_rejects_out_of_range_symbol():
         run(ones_mod_dfa(2), (0, 2))
     with pytest.raises(ValueError, match="symbol index"):
         run(ones_mod_dfa(2), (-1,))
+    # The first bad symbol is named, after valid ones too, whatever the
+    # word's type.
+    for word, bad in [((0, 1, 5, 7), 5), ((0, 1, 1, -1), -1)]:
+        for given in (word, list(word), iter(word)):
+            with pytest.raises(ValueError, match=f"^symbol index {bad} out of range for alphabet of size 2$"):
+                run(ones_mod_dfa(2), given)
+
+
+@given(d=dfas(), word=binary_words)
+def test_run_takes_any_iterable_word(d, word):
+    state = run(d, word)
+    assert run(d, list(word)) == state
+    assert run(d, (s for s in word)) == state
+    assert run(d, iter(word), start=d.initial) == state
 
 
 @pytest.mark.parametrize("word", [(), (0,)])
@@ -163,6 +177,33 @@ def test_parse_word_round_trip():
     w = parse_word(BINARY, "10010")
     assert w == (1, 0, 0, 1, 0)
     assert format_word(BINARY, w) == "10010"
+
+
+def _joined(alphabet, word):
+    # format_word as a join of a list of labels, one lookup a symbol.
+    return "".join([alphabet[sym] for sym in word])
+
+
+@given(st.data())
+def test_format_word_matches_the_label_join(data):
+    labels = data.draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=6, unique=True))
+    alphabet = Alphabet(labels)
+    word = data.draw(st.lists(st.integers(0, len(alphabet) - 1), max_size=20).map(tuple))
+    assert format_word(alphabet, word) == _joined(alphabet, word)
+
+
+def test_format_word_short_words_and_wide_alphabets():
+    labels = Alphabet(("a", "bc", "def"))
+    assert format_word(labels, ()) == ""
+    assert format_word(labels, (2,)) == "def"
+    assert format_word(labels, (1, 2, 0, 1)) == "bcdefabc"
+    wide = Alphabet(f"s{i}" for i in range(1200))
+    assert format_word(wide, (1199,)) == "s1199"
+    assert format_word(wide, (0, 1199, 7)) == _joined(wide, (0, 1199, 7)) == "s0s1199s7"
+    with pytest.raises(IndexError):
+        format_word(BINARY, (0, 2))
+    with pytest.raises(IndexError):
+        format_word(wide, (1200,))
 
 
 def test_parse_word_empty():

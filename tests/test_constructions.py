@@ -14,6 +14,8 @@ from minword import (
     validate,
 )
 
+from minword import reports
+
 from helpers import CycleCounts, admissible_counts, all_words, cycle_witness
 
 
@@ -133,6 +135,22 @@ def test_witness_accepted_by_both():
             w = closed_form_witness(m, n)
             assert accepts(ones_mod_dfa(m), w)
             assert accepts(ramp_cycle_dfa(m, n), w)
+
+
+# The report formats the closed-form word itself and runs both automata on
+# it when it is not the walk's witness.  One symbol flipped changes the count
+# of ones, so ones_mod_dfa(2) refuses it; the longer word is accepted by both,
+# and the pair fails on its length.
+@pytest.mark.parametrize("text, accepted", [("00010", False), ("0010010", True)])
+def test_witness_report_formats_and_runs_a_differing_closed_form_word(monkeypatch, text, accepted):
+    word = parse_word(BINARY, text)
+    monkeypatch.setattr(reports, "closed_form_witness", lambda m, n: word)
+    report = reports.build_witness_report(2, 3)
+    assert report.witness == "10010"
+    assert report.formula_word == format_word(BINARY, word) == text
+    ran = accepts(ones_mod_dfa(2), word) and accepts(ramp_cycle_dfa(2, 3), word)
+    assert report.formula_word_accepted is ran is accepted
+    assert report.lss == 5 and report.passed is False
 
 
 def test_witness_rejects_bad_sizes():

@@ -588,6 +588,14 @@ def test_rows_meet_a_repeated_list_once_per_sorted_tuple():
         (a, b + c, (d, e, f)) for (a, d), (b, e), (c, f) in rows if a <= c
     ]
     assert len(list(enumeration._rows([one, list(one)], 0, []))) == len(one) ** 2
+    # Three columns of one list, and two lists each in two columns
+    # interleaved: each column starts where its list's previous one stands.
+    triples = itertools.combinations_with_replacement(one, 3)
+    assert list(enumeration._rows([one] * 3, 3, [])) == [(a + b + c, (), (d, e, f)) for (a, d), (b, e), (c, f) in triples]
+    rows = itertools.product(one, other, one, other)
+    assert list(enumeration._rows([one, other, one, other], 3, [])) == [
+        (a + b, c + g, (d, e, f, h)) for (a, d), (b, e), (c, f), (g, h) in rows if a <= c and b <= g
+    ]
 
 
 def test_letter_rule_passes_the_least_class_of_each_orbit(monkeypatch):
