@@ -15,7 +15,6 @@ from .automaton import (
     Word,
     accepts,
     format_word,
-    parse_word,
     run,
     validate,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "loads",
     "minimize",
     "ones_mod_dfa",
-    "parse_word",
     "product",
     "ramp_cycle_dfa",
     "run",

@@ -48,11 +48,6 @@ class Alphabet(tuple):
     def __repr__(self) -> str:
         return f"Alphabet(symbols={tuple(self)!r})"
 
-    @property
-    def symbols(self) -> Alphabet:
-        """The labels in order: the alphabet itself."""
-        return self
-
 
 BINARY = Alphabet(("0", "1"))
 UNARY = Alphabet(("0",))
@@ -109,18 +104,13 @@ def validate(dfa: Dfa) -> None:
                 )
 
 
-def run(dfa: Dfa, word: Iterable[int], start: int | None = None) -> int:
-    """Fold the word through the transition table; empty word returns the start state.
+def run(dfa: Dfa, word: Iterable[int]) -> int:
+    """Fold the word through the transition table; empty word returns the initial state.
 
-    The symbols are range-checked once, as a set, before the fold.
+    The symbols are range-checked once, as a set, before the fold.  To fold
+    from another state q, run dfa._replace(initial=q).
     """
-    if start is None:
-        state = dfa.initial
-    elif 0 <= start < dfa.state_count:
-        state = start
-    else:
-        raise ValueError(f"start state {start} out of range for {dfa.state_count} states")
-    word, width, delta = tuple(word), len(dfa.alphabet), dfa.delta
+    state, word, width, delta = dfa.initial, tuple(word), len(dfa.alphabet), dfa.delta
     symbols = frozenset(range(width))
     if not symbols.issuperset(word):
         bad = next(sym for sym in word if sym not in symbols)
@@ -132,36 +122,6 @@ def run(dfa: Dfa, word: Iterable[int], start: int | None = None) -> int:
 
 def accepts(dfa: Dfa, word: Iterable[int]) -> bool:
     return run(dfa, word) in dfa.accepting
-
-
-def parse_word(alphabet: Alphabet, text: str) -> Word:
-    """Parse a word from concatenated labels; the split must be unique.
-
-    Dynamic programming over positions: parses[i] counts (up to 2) the ways
-    to split text[:i] into labels, and last[i] is the final label of one.
-    """
-    parses = [1] + [0] * len(text)
-    last: list[tuple[int, int]] = [(-1, -1)] * (len(text) + 1)
-    for pos in range(len(text)):
-        if not parses[pos]:
-            continue
-        for idx, label in enumerate(alphabet):
-            if text.startswith(label, pos):
-                end = pos + len(label)
-                parses[end] = min(2, parses[end] + parses[pos])
-                last[end] = (pos, idx)
-    if not parses[-1]:
-        pos = max(i for i, count in enumerate(parses) if count)
-        raise ValueError(f"no alphabet label matches input at position {pos}: {text[pos:]!r}")
-    if parses[-1] > 1:
-        raise ValueError(f"input {text!r} splits into alphabet labels in more than one way")
-    out: list[int] = []
-    pos = len(text)
-    while pos:
-        pos, idx = last[pos]
-        out.append(idx)
-    out.reverse()
-    return tuple(out)
 
 
 def format_word(alphabet: Alphabet, word: Sequence[int]) -> str:

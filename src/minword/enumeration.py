@@ -377,15 +377,16 @@ def _letter_images(nonempties: dict[int, list[Dfa]], sizes: Sequence[int], width
     language's are, so one walk numbering them breadth-first makes it the
     canonical minimal DFA, and a dict finds that in the list, which holds
     it: a renaming of letters keeps the state complexity and the
-    nonemptiness of a language.  Columns of one size share one list, and
-    only the sizes given are walked.  With none, no swap is made.
+    nonemptiness of a language.  Columns of one size share one list, whose
+    dict is built once for every swap, and only the sizes given are walked.
+    With none, no swap is made.
     """
+    indexes = {s: {(d.accepting, d.delta): i for i, d in enumerate(nonempties[s])} for s in set(sizes) if width > 1}
     swaps = []
     for a in range(width - 1 if sizes else 0):
         swap = itemgetter(*range(a), a + 1, a, *range(a + 2, width))
         images = {}
-        for s in set(sizes):
-            index = {(d.accepting, d.delta): i for i, d in enumerate(nonempties[s])}
+        for s, index in indexes.items():
             walks = (walk([d._replace(delta=tuple(map(swap, d.delta)))]) for d in nonempties[s])
             images[s] = [index[frozenset(found.accepting), tuple(found.rows)] for found in walks]
         swaps.append([images[s] for s in sizes])
@@ -480,7 +481,8 @@ def tightness_search(sizes: Sequence[int], alphabet: Iterable[str] = BINARY) -> 
     s**(s*|alphabet|) tables times 2**s accepting sets per size s (checked,
     like the limits above, before any enumeration, though the build fills
     only the accessible tables), and the rows left after the fold, dropped
-    or not, times the 64-bit words of a mask (checked before the first row).
+    or not, times the 64-bit words of a mask (checked before the first
+    row): row words, not time, as each row has a fixed Python cost too.
     """
     sizes, alphabet = tuple(sizes), Alphabet(alphabet)
     if not sizes:

@@ -24,13 +24,12 @@ row adds nothing, and a _Joint adds its components' rows up into one row
 tuple as a state is expanded.  A tuple accepts when its head digit is in
 the head's accepting set and, asked only then, its tail code in the
 tail's.  Nothing is kept per tail state, so a walk holds only its codes and
-what its callers read, whatever its components.  product() alone turns
-codes back into tuples.
+what its callers read, whatever its components.  The codes stay inside
+the walk, as its queue.
 """
 
 from __future__ import annotations
 
-from math import prod
 from operator import add
 from typing import NamedTuple, Sequence
 
@@ -38,22 +37,22 @@ from .automaton import Alphabet, AlphabetMismatchError, Dfa
 
 
 class ProductResult(NamedTuple):
-    """Product DFA plus the map from product state to component state tuple."""
+    """The intersection product's DFA, its one field.
+
+    Public only for the benchmark's lss oracle, which reads product(dfas).dfa.
+    """
 
     dfa: Dfa
-    tags: tuple[tuple[int, ...], ...]
 
 
 class Walk(NamedTuple):
     """Reachable product states, indexed in discovery order (the start is 0).
 
-    codes doubles as the breadth-first queue.  A stopping walk's parents
-    hold -1 for the start, then parent index * width + symbol for each
-    later state, width being the alphabet size: a link // width is the
-    parent and link % width the symbol.
+    A stopping walk's parents hold -1 for the start, then parent index *
+    width + symbol for each later state, width being the alphabet size: a
+    link // width is the parent and link % width the symbol.
     """
 
-    codes: list[int]  # mixed-radix code of each state's component state tuple
     parents: list[int]  # parent index * width + symbol that found each state; stopping walks only
     rows: list[tuple[int, ...]]  # transition row of each state; full walks only
     accepting: list[int]  # all-accepting states, in discovery order
@@ -142,7 +141,7 @@ def walk(components: Sequence[Dfa], stop: bool = False) -> Walk:
     rows: list[tuple[int, ...]] = []
     accepting = [0] if start // span in head_accepting and start % span in tail_accepting else []
     if stop and accepting:
-        return Walk(codes, [-1], rows, accepting)
+        return Walk([-1], rows, accepting)
     if stop:
         parents = [-1]
         seen = {start}
@@ -158,8 +157,8 @@ def walk(components: Sequence[Dfa], stop: bool = False) -> Walk:
                     parents.append(link + a)
                     if target // span in head_accepting and target % span in tail_accepting:
                         accepting.append(len(parents) - 1)
-                        return Walk(codes, parents, rows, accepting)
-        return Walk(codes, parents, rows, accepting)
+                        return Walk(parents, rows, accepting)
+        return Walk(parents, rows, accepting)
     ids = {start: 0}
     for code in codes:
         row: list[int] = []
@@ -174,25 +173,12 @@ def walk(components: Sequence[Dfa], stop: bool = False) -> Walk:
                     accepting.append(idx)
             row.append(idx)
         rows.append(tuple(row))
-    return Walk(codes, [], rows, accepting)
+    return Walk([], rows, accepting)
 
 
 def product(components: Sequence[Dfa]) -> ProductResult:
     """Intersection product: the result accepts w iff every component accepts w."""
     alphabet = shared_alphabet(components)
     found = walk(components)
-    spans = [prod(d.state_count for d in components[i + 1 :]) for i in range(len(components) - 1)]
-    # Tags share these state ints, not one new int per tag entry.
-    states = list(range(max(d.state_count for d in components)))
-    # Each code becomes its component state tuple in place, most significant
-    # digit first.
-    tags: list = found.codes
-    for i, code in enumerate(tags):
-        tag = []
-        for span in spans:
-            q, code = divmod(code, span)
-            tag.append(states[q])
-        tag.append(states[code])
-        tags[i] = tuple(tag)
-    dfa = Dfa(len(tags), alphabet, 0, frozenset(found.accepting), tuple(found.rows))
-    return ProductResult(dfa=dfa, tags=tuple(tags))
+    dfa = Dfa(len(found.rows), alphabet, 0, frozenset(found.accepting), tuple(found.rows))
+    return ProductResult(dfa=dfa)

@@ -1,4 +1,5 @@
 import copy
+import inspect
 import pickle
 from random import Random
 
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minword
 from minword import (
     Alphabet,
     BINARY,
     Dfa,
     InvalidDfaError,
+    ProductResult,
     accepts,
     build_witness_report,
     canonical_languages,
@@ -19,7 +22,6 @@ from minword import (
     loads,
     minimize,
     ones_mod_dfa,
-    parse_word,
     product,
     ramp_cycle_dfa,
     run,
@@ -28,6 +30,7 @@ from minword import (
     unary_residue_dfa,
     validate,
 )
+from minword.product import Walk
 
 from helpers import all_words, binary_words, dfas, random_dfa, reachable_states
 
@@ -82,7 +85,7 @@ def test_validate_reports_first_violation(dfa, message):
 
 
 def test_run_counts_ones():
-    assert run(ones_mod_dfa(3), parse_word(BINARY, "11")) == 2
+    assert run(ones_mod_dfa(3), (1, 1)) == 2
 
 
 def test_run_empty_word_is_initial():
@@ -91,7 +94,7 @@ def test_run_empty_word_is_initial():
 
 
 def test_run_ramp_example():
-    assert run(ramp_cycle_dfa(2, 3), parse_word(BINARY, "100")) == 0
+    assert run(ramp_cycle_dfa(2, 3), (1, 0, 0)) == 0
 
 
 def test_run_rejects_out_of_range_symbol():
@@ -112,23 +115,15 @@ def test_run_takes_any_iterable_word(d, word):
     state = run(d, word)
     assert run(d, list(word)) == state
     assert run(d, (s for s in word)) == state
-    assert run(d, iter(word), start=d.initial) == state
-
-
-@pytest.mark.parametrize("word", [(), (0,)])
-@pytest.mark.parametrize("start", [-1, 3])
-def test_run_rejects_out_of_range_start(start, word):
-    with pytest.raises(ValueError, match=f"^start state {start} out of range for 3 states$"):
-        run(ramp_cycle_dfa(2, 3), word, start=start)
 
 
 def test_accepts_ones_parity():
-    assert accepts(ones_mod_dfa(2), parse_word(BINARY, "11"))
-    assert not accepts(ones_mod_dfa(2), parse_word(BINARY, "1"))
+    assert accepts(ones_mod_dfa(2), (1, 1))
+    assert not accepts(ones_mod_dfa(2), (1,))
 
 
 def test_accepts_ramp_word():
-    assert accepts(ramp_cycle_dfa(2, 3), parse_word(BINARY, "10010"))
+    assert accepts(ramp_cycle_dfa(2, 3), (1, 0, 0, 1, 0))
 
 
 def test_reachable_single_state():
@@ -146,7 +141,7 @@ def test_reachable_excludes_disconnected_state():
 
 @given(d=dfas(), u=binary_words, v=binary_words)
 def test_run_fold_composition(d, u, v):
-    assert run(d, u + v) == run(d, v, start=run(d, u))
+    assert run(d, u + v) == run(d._replace(initial=run(d, u)), v)
 
 
 @given(d=dfas(max_states=4))
@@ -173,12 +168,6 @@ def test_reachable_closed_under_delta(d):
             assert target in reach
 
 
-def test_parse_word_round_trip():
-    w = parse_word(BINARY, "10010")
-    assert w == (1, 0, 0, 1, 0)
-    assert format_word(BINARY, w) == "10010"
-
-
 def _joined(alphabet, word):
     # format_word as a join of a list of labels, one lookup a symbol.
     return "".join([alphabet[sym] for sym in word])
@@ -197,6 +186,7 @@ def test_format_word_short_words_and_wide_alphabets():
     assert format_word(labels, ()) == ""
     assert format_word(labels, (2,)) == "def"
     assert format_word(labels, (1, 2, 0, 1)) == "bcdefabc"
+    assert format_word(BINARY, (1, 0, 0, 1, 0)) == "10010"
     wide = Alphabet(f"s{i}" for i in range(1200))
     assert format_word(wide, (1199,)) == "s1199"
     assert format_word(wide, (0, 1199, 7)) == _joined(wide, (0, 1199, 7)) == "s0s1199s7"
@@ -204,31 +194,6 @@ def test_format_word_short_words_and_wide_alphabets():
         format_word(BINARY, (0, 2))
     with pytest.raises(IndexError):
         format_word(wide, (1200,))
-
-
-def test_parse_word_empty():
-    assert parse_word(BINARY, "") == ()
-
-
-def test_parse_word_unknown_symbol():
-    with pytest.raises(ValueError, match="position 2"):
-        parse_word(BINARY, "10x0")
-
-
-def test_parse_word_multichar_labels():
-    ab = Alphabet(("a", "ab"))
-    # the only split is ab.a.ab
-    assert parse_word(ab, "abaab") == (1, 0, 1)
-
-
-def test_parse_word_not_greedy():
-    # a longest-label match would take "ab" and then fail on "c"
-    assert parse_word(Alphabet(("a", "ab", "bc")), "abc") == (0, 2)
-
-
-def test_parse_word_ambiguous():
-    with pytest.raises(ValueError, match="more than one way"):
-        parse_word(Alphabet(("a", "b", "ab")), "ab")
 
 
 def test_dfa_is_hashable():
@@ -251,9 +216,8 @@ def test_dfa_repr_names_fields():
 
 RECORDS = {
     "Dfa": (lambda: ones_mod_dfa(2), "initial"),
-    "Alphabet": (lambda: Alphabet(("a", "b")), "symbols"),
     "LssResult": (lambda: shortest_accepted(ones_mod_dfa(2)), "length"),
-    "ProductResult": (lambda: product([ones_mod_dfa(2), ramp_cycle_dfa(2, 3)]), "tags"),
+    "ProductResult": (lambda: product([ones_mod_dfa(2), ramp_cycle_dfa(2, 3)]), "dfa"),
     "WitnessReport": (lambda: build_witness_report(2, 3), "passed"),
     "SearchReport": (lambda: tightness_search([2]), "max_lss"),
 }
@@ -274,6 +238,70 @@ def test_records_are_immutable_values(build, field):
     for twin in copies + [copy.copy(record), copy.deepcopy(record)]:
         assert twin == record and hash(twin) == hash(record)
         assert type(twin) is type(record)
+
+
+def test_alphabet_is_an_immutable_value():
+    ab = Alphabet(("a", "b"))
+    with pytest.raises(AttributeError):
+        ab.labels = ("c", "d")
+    with pytest.raises(TypeError):
+        ab[0] = "c"
+    with pytest.raises(TypeError):
+        del ab[0]
+    assert ab == ("a", "b")
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    copies = [pickle.loads(pickle.dumps(ab, protocol)) for protocol in protocols]
+    for twin in copies + [copy.copy(ab), copy.deepcopy(ab)]:
+        assert twin == ab and hash(twin) == hash(ab)
+        assert type(twin) is Alphabet
+
+
+def test_public_surface_is_frozen():
+    # A name added to or dropped from the package's surface must change this test too.
+    assert sorted(minword.__all__) == [
+        "Alphabet",
+        "AlphabetMismatchError",
+        "BINARY",
+        "BudgetExceededError",
+        "Dfa",
+        "InterchangeError",
+        "InvalidDfaError",
+        "LssResult",
+        "ProductResult",
+        "SearchReport",
+        "UNARY",
+        "WitnessReport",
+        "Word",
+        "accepts",
+        "build_witness_report",
+        "canonical_languages",
+        "closed_form_witness",
+        "dumps",
+        "enumerate_dfas",
+        "equivalent",
+        "format_word",
+        "from_document",
+        "intersection_lss",
+        "load_path",
+        "loads",
+        "minimize",
+        "ones_mod_dfa",
+        "product",
+        "ramp_cycle_dfa",
+        "run",
+        "save_path",
+        "shortest_accepted",
+        "state_complexity",
+        "tightness_search",
+        "to_document",
+        "unary_residue_dfa",
+        "validate",
+        "verify_range",
+    ]
+    assert list(inspect.signature(run).parameters) == ["dfa", "word"]
+    assert ProductResult._fields == ("dfa",)
+    assert Walk._fields == ("parents", "rows", "accepting")
+    assert not hasattr(BINARY, "symbols")
 
 
 # Dfa converts nothing, so every builder must hand it a frozenset and tuples.

@@ -8,7 +8,6 @@ from minword import (
     closed_form_witness,
     format_word,
     ones_mod_dfa,
-    parse_word,
     ramp_cycle_dfa,
     unary_residue_dfa,
     validate,
@@ -143,7 +142,7 @@ def test_witness_accepted_by_both():
 # and the pair fails on its length.
 @pytest.mark.parametrize("text, accepted", [("00010", False), ("0010010", True)])
 def test_witness_report_formats_and_runs_a_differing_closed_form_word(monkeypatch, text, accepted):
-    word = parse_word(BINARY, text)
+    word = tuple(map(BINARY.index, text))
     monkeypatch.setattr(reports, "closed_form_witness", lambda m, n: word)
     report = reports.build_witness_report(2, 3)
     assert report.witness == "10010"
@@ -172,8 +171,8 @@ def test_cycle_witness_matches_closed_form():
 def test_cycle_witness_small_cases():
     assert format_word(BINARY, cycle_witness(CycleCounts(1, 0, 2, 3))) == "10"
     assert format_word(BINARY, cycle_witness(CycleCounts(1, 1, 2, 3))) == "1110"
-    assert accepts(ramp_cycle_dfa(2, 3), parse_word(BINARY, "10"))
-    assert accepts(ramp_cycle_dfa(2, 3), parse_word(BINARY, "1110"))
+    assert accepts(ramp_cycle_dfa(2, 3), (1, 0))
+    assert accepts(ramp_cycle_dfa(2, 3), (1, 1, 1, 0))
 
 
 def test_cycle_witness_zero_count_is_tight():

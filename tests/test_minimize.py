@@ -11,7 +11,6 @@ from minword import (
     equivalent,
     minimize,
     ones_mod_dfa,
-    parse_word,
     product,
     ramp_cycle_dfa,
     shortest_accepted,
@@ -20,7 +19,7 @@ from minword import (
 )
 from minword.minimize import refine_blocks
 
-from helpers import all_words, bfs_numbering, dfas, minimize_two_pass, moore_blocks, raw_dfas, reachable_states
+from helpers import all_words, bfs_numbering, dfas, minimize_two_pass, moore_blocks, raw_dfas, reachable_states, tuple_walk
 
 
 def test_minimize_single_state():
@@ -76,7 +75,7 @@ def test_minimize_equals_two_pass_oracle_on_all_raw_dfas(states):
 
 def test_equivalent_distinguishes_moduli():
     assert not equivalent(ones_mod_dfa(2), ones_mod_dfa(3))
-    w = parse_word(BINARY, "11")
+    w = (1, 1)
     assert accepts(ones_mod_dfa(2), w) != accepts(ones_mod_dfa(3), w)
 
 
@@ -91,19 +90,13 @@ def test_equivalent_requires_same_alphabet():
 
 
 def _symmetric_difference_empty(a: Dfa, b: Dfa) -> bool:
-    result = product([a, b])
+    found = tuple_walk([a, b])
     xor_accepting = frozenset(
         idx
-        for idx, (qa, qb) in enumerate(result.tags)
+        for idx, (qa, qb) in enumerate(found.tags)
         if (qa in a.accepting) != (qb in b.accepting)
     )
-    probe = Dfa(
-        result.dfa.state_count,
-        result.dfa.alphabet,
-        result.dfa.initial,
-        xor_accepting,
-        result.dfa.delta,
-    )
+    probe = Dfa(len(found.rows), a.alphabet, 0, xor_accepting, tuple(found.rows))
     return shortest_accepted(probe) is None
 
 

@@ -13,7 +13,6 @@ from minword import (
     equivalent,
     intersection_lss,
     ones_mod_dfa,
-    parse_word,
     product,
     ramp_cycle_dfa,
     unary_residue_dfa,
@@ -34,7 +33,7 @@ def test_single_component_is_identity():
 def test_pair_size_bound_and_acceptance():
     result = product([ones_mod_dfa(2), ramp_cycle_dfa(2, 3)])
     assert result.dfa.state_count <= 6
-    assert accepts(result.dfa, parse_word(BINARY, "10010"))
+    assert accepts(result.dfa, (1, 0, 0, 1, 0))
 
 
 def test_alphabet_mismatch_rejected():
@@ -52,16 +51,6 @@ def test_alphabet_mismatch_message_prints_the_labels():
 def test_empty_component_list_rejected():
     with pytest.raises(ValueError):
         product([])
-
-
-def test_tags_track_component_states():
-    result = product([ones_mod_dfa(2), ramp_cycle_dfa(2, 3)])
-    assert result.tags[0] == (0, 0)
-    assert len(set(result.tags)) == result.dfa.state_count
-    # accepting product states are exactly the all-accepting tuples
-    for idx, tag in enumerate(result.tags):
-        expected = tag[0] == 0 and tag[1] == 2
-        assert (idx in result.dfa.accepting) == expected
 
 
 def test_every_product_state_reachable():
@@ -103,14 +92,6 @@ def test_product_of_disjoint_parity_languages_is_empty():
     assert not dfa.accepting
 
 
-def _code(tag, components):
-    """Mixed-radix code of a component state tuple, first component most significant."""
-    code = 0
-    for q, d in zip(tag, components):
-        code = code * d.state_count + q
-    return code
-
-
 @st.composite
 def component_lists(draw):
     """1 to 5 components of 1 to 4 states over one alphabet of 1 to 3 letters, any initial states."""
@@ -137,11 +118,13 @@ _ONE_STATE_MIDDLE = [_ring(3, 1, {0}), _ONE, _ring(5, 2, {1})]
 @settings(max_examples=300, deadline=None)
 def test_walk_equals_tuple_walk(components, stop):
     found, oracle = walk(components, stop), tuple_walk(components, stop)
-    assert found.codes == [_code(tag, components) for tag in oracle.tags]
+    width = len(components[0].alphabet)
+    if stop:
+        # Both walks find the same states by the same links, in one order.
+        assert [divmod(link, width) for link in found.parents[1:]] == oracle.parents[1:]
     assert found.rows == oracle.rows
     assert found.accepting == oracle.accepting
     if stop and found.accepting:
-        width = len(components[0].alphabet)
         spelled, expected = [], []
         state = found.accepting[0]
         while state:
@@ -153,7 +136,9 @@ def test_walk_equals_tuple_walk(components, stop):
             expected.append(sym)
         assert spelled == expected
     if not stop:
-        assert product(components).tags == tuple(oracle.tags)
+        alphabet = components[0].alphabet
+        expected = Dfa(len(oracle.rows), alphabet, 0, frozenset(oracle.accepting), tuple(oracle.rows))
+        assert product(components).dfa == expected
 
 
 def _parity_dfa(seed, half, parity):
@@ -184,7 +169,7 @@ _EVEN, _ODD = _parity_dfa(1, 100, 0), _parity_dfa(2, 100, 1)
     ids=["repeated", "one-state-first", "one-state-last", "joint-of-three", "joint-of-four"],
 )
 def test_lss_walk_memory_per_state_is_bounded(components):
-    states = len(walk(components, stop=True).codes)
+    states = len(walk(components, stop=True).parents)
     assert states == 9_104
     tracemalloc.start()
     try:
