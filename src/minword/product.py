@@ -10,22 +10,21 @@ product.
 
 The walk keys a tuple (q_0, ..., q_{k-1}) of component states by one
 mixed-radix int, its code q_0*span_0 + q_1*span_1 + ... + q_{k-1}, where
-span_i is the product of the state counts of the components after i; a
-lone component's codes are its states.  Its dict and its queue hold ints,
-and no tuple is built or hashed.  The rows of every component but the last
-are pre-scaled by its span, so the successor codes of a tuple are its
-components' rows added entry by entry.  The walk splits a code into its
-head digit, code // span, and its tail, code % span, where span is span_0;
-on each symbol the successor code is the head row's entry plus the tail
-row's, one int add.  A tail is a Dfa, or a _Joint of several read like
-one, through its state count, initial state, delta[code] and code in
-accepting: a lone component's tail is the 1-state full language, whose one
-row adds nothing, and a _Joint adds its components' rows up into one row
-tuple as a state is expanded.  A tuple accepts when its head digit is in
-the head's accepting set and, asked only then, its tail code in the
-tail's.  Nothing is kept per tail state, so a walk holds only its codes and
-what its callers read, whatever its components.  The codes stay inside
-the walk, as its queue.
+span_i is the product of the state counts of the components after i.  Its
+dict and its queue hold ints, and no tuple is built or hashed.  Every walk
+has one shape: a head DFA over a tail.  The head is the first component,
+its rows pre-scaled by span, the tail's state count; the tail is the second
+component, or a _Joint of the rest, which is itself one head over a tail
+and is read like a Dfa, through its state count, initial state,
+delta[code] and code in accepting.  A lone component is the tail of the
+1-state full language, whose one row is all zeros, so its codes are its
+states and its own table is read unscaled.  A code's head digit is
+code // span and its tail code code % span; on each symbol the successor
+code is the head row's entry plus the tail row's, one int add.  A tuple
+accepts when its head digit is in the head's accepting set and, asked only
+then, its tail code in the tail's.  Nothing is kept per tail state, so a
+walk holds only its codes and what its callers read, whatever its
+components.  The codes stay inside the walk, as its queue.
 """
 
 from __future__ import annotations
@@ -71,47 +70,35 @@ def shared_alphabet(components: Sequence[Dfa]) -> Alphabet:
     return alphabet
 
 
-def _scaled(dfa: Dfa, span: int) -> Sequence[tuple[int, ...]]:
-    """The DFA's rows with every target multiplied by span: its own table for span 1."""
-    if span == 1:
-        return dfa.delta
+def _scaled(dfa: Dfa, span: int) -> list[tuple[int, ...]]:
+    """The DFA's rows with every target multiplied by span."""
     return [tuple([t * span for t in row]) for row in dfa.delta]
 
 
 class _Joint:
-    """Two or more components read like one Dfa, by their mixed-radix code.
+    """Two or more components read like one Dfa: one head over a tail.
 
-    parts holds (span, rows scaled by span, accepting set) of each component
-    but the last, last the last one's table and flags its accept flags.
-    delta and accepting are the joint itself; each lookup divmods the code.
+    The head is the first component, its rows scaled by span, the tail's
+    state count; the tail is the second component, or a _Joint of the rest.
+    delta and accepting are the joint itself: a code's head digit is
+    code // span and its tail code code % span, as in walk.
     """
 
-    __slots__ = ("state_count", "initial", "delta", "accepting", "parts", "last", "flags")
+    __slots__ = ("state_count", "initial", "delta", "accepting", "rows", "head_accepting", "span", "tail")
 
     def __init__(self, components: Sequence[Dfa]) -> None:
-        last = components[-1]
-        self.last, self.flags = last.delta, [q in last.accepting for q in range(last.state_count)]
-        span, initial, parts = last.state_count, last.initial, []
-        for d in reversed(components[:-1]):
-            parts.insert(0, (span, _scaled(d, span), d.accepting))
-            initial += d.initial * span
-            span *= d.state_count
-        self.state_count, self.initial, self.parts = span, initial, parts
+        head = components[0]
+        tail = self.tail = components[1] if len(components) == 2 else _Joint(components[1:])
+        span = self.span = tail.state_count
+        self.rows, self.head_accepting = _scaled(head, span), head.accepting
+        self.state_count, self.initial = head.state_count * span, head.initial * span + tail.initial
         self.delta = self.accepting = self
 
     def __getitem__(self, code: int) -> tuple[int, ...]:
-        targets = None
-        for span, rows, _ in self.parts:
-            q, code = divmod(code, span)
-            targets = rows[q] if targets is None else map(add, targets, rows[q])
-        return tuple(map(add, targets, self.last[code]))
+        return tuple(map(add, self.rows[code // self.span], self.tail.delta[code % self.span]))
 
     def __contains__(self, code: int) -> bool:
-        for span, _, accepting in self.parts:
-            q, code = divmod(code, span)
-            if q not in accepting:
-                return False
-        return self.flags[code]
+        return code // self.span in self.head_accepting and code % self.span in self.tail.accepting
 
 
 def walk(components: Sequence[Dfa], stop: bool = False) -> Walk:
@@ -121,19 +108,19 @@ def walk(components: Sequence[Dfa], stop: bool = False) -> Walk:
     from the components.  With stop, the walk ends at the first all-accepting
     tuple, which is reached by the shortlex-least accepted word that the
     parent links spell.  Each kind of walk keeps only what its callers read,
-    parents or rows, to keep the memory of large walks down.  The successor
-    codes of an expanded tuple are summed inline, head row entry plus tail
-    row entry, where the tail is a Dfa, or a _Joint of several read like one.
+    parents or rows, to keep the memory of large walks down.  The walk has
+    one shape, as a _Joint has: a head over a tail.  The head is the first
+    component, or the 1-state full language over a lone component; the tail
+    is the second component, or a _Joint of the rest.  The successor codes
+    of an expanded tuple are summed inline, head row entry plus tail row
+    entry.
     """
-    head = components[0]
-    width = len(head.alphabet)
+    width = len(components[0].alphabet)
     symbols = range(width)
-    if len(components) > 2:
-        tail = _Joint(components[1:])
-    elif len(components) == 2:
-        tail = components[1]
-    else:
-        tail = Dfa(1, head.alphabet, 0, frozenset((0,)), ((0,) * width,))
+    if len(components) == 1:
+        components = (Dfa(1, components[0].alphabet, 0, frozenset((0,)), ((0,) * width,)), components[0])
+    head = components[0]
+    tail = components[1] if len(components) == 2 else _Joint(components[1:])
     head_accepting, tail_rows, tail_accepting, span = head.accepting, tail.delta, tail.accepting, tail.state_count
     head_rows = _scaled(head, span)
     start = head.initial * span + tail.initial

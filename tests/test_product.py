@@ -108,6 +108,8 @@ def _ring(states, initial, accepting):
 _ONE = Dfa(1, BINARY, 0, frozenset({0}), ((0, 0),))
 _REPEATED = [_ring(3, 1, {0}), _ring(5, 4, {2}), _ring(5, 4, {2}), _ring(4, 0, {3})]
 _ONE_STATE_MIDDLE = [_ring(3, 1, {0}), _ONE, _ring(5, 2, {1})]
+# A 1-state head over a joint nested two deep: _ONE over (ring over (ring over ring)).
+_NESTED = [_ONE, _ring(3, 1, {0}), _ring(5, 4, {2}), _ring(4, 0, {3})]
 
 
 @given(components=component_lists(), stop=st.booleans())
@@ -115,6 +117,12 @@ _ONE_STATE_MIDDLE = [_ring(3, 1, {0}), _ONE, _ring(5, 2, {1})]
 @example(components=_REPEATED, stop=True)
 @example(components=_ONE_STATE_MIDDLE, stop=False)
 @example(components=_ONE_STATE_MIDDLE, stop=True)
+@example(components=[_ring(5, 2, {1, 3})], stop=False)
+@example(components=[_ring(5, 2, {1, 3})], stop=True)
+@example(components=[_ONE], stop=False)
+@example(components=[_ONE], stop=True)
+@example(components=_NESTED, stop=False)
+@example(components=_NESTED, stop=True)
 @settings(max_examples=300, deadline=None)
 def test_walk_equals_tuple_walk(components, stop):
     found, oracle = walk(components, stop), tuple_walk(components, stop)
@@ -165,8 +173,9 @@ _EVEN, _ODD = _parity_dfa(1, 100, 0), _parity_dfa(2, 100, 1)
         [_EVEN, _ODD, _ONE],
         [_EVEN, _ONE, _EVEN, _ODD],
         [_EVEN, _ODD, _EVEN, _ONE, _ODD],
+        [_ONE, _EVEN, _EVEN, _ODD],
     ],
-    ids=["repeated", "one-state-first", "one-state-last", "joint-of-three", "joint-of-four"],
+    ids=["repeated", "one-state-first", "one-state-last", "joint-of-three", "joint-of-four", "nested-two-deep"],
 )
 def test_lss_walk_memory_per_state_is_bounded(components):
     states = len(walk(components, stop=True).parents)
