@@ -18,21 +18,25 @@ from math import prod
 from .automaton import format_word
 from .enumeration import BudgetExceededError, tightness_search
 from .interchange import load_path, to_document
+from .product import MAX_WALK_STATES
 from .reports import WitnessReport, build_witness_report, verify_range
 from .shortest import intersection_lss
 
 SCHEMA_VERSION = 1
 # witness and verify walk the product of each (m, n) pair, and lss the
 # product of its DFA files, each walk stopping at its first accepting state.
-# Under tracemalloc, empty queries over 3 letters peaked at about 113-114
-# bytes per state with two 600-state files or one of them given twice, and
-# 150 with a 20-state file first (676,124 states): 0.5-0.6 GB at this cap.
+# A walk of a product of at most MAX_WALK_STATES codes, as every one this
+# limit admits, keeps its parent links in a list of one 8-byte slot per
+# code, at most 32 MB.  Under tracemalloc, empty queries over 3 letters
+# peaked at about 96 bytes per state found, slots included, with two
+# 600-state files (129,768 states of 360,000 codes) and with a 1-state file
+# before or after them, and a walk of 2048 x 2048 codes that stopped after
+# 3,027 states at 32.5 MB: at most some 0.4 GB at this cap.
 # witness and verify also walk each chain in full, as state_complexity
 # refines it, and with the refinement peak at about 750-880 bytes per
 # chain state, some 8 walk states' worth.  So witness counts its longer chain,
 # of max(m, n) states, as 8 walk states a state; verify's chains have at most
 # 75 states.
-MAX_WALK_STATES = 1 << 22
 
 
 def _fmt(value) -> str:

@@ -38,11 +38,11 @@ def intersection_lss(components: Sequence[Dfa]) -> LssResult | None:
     found = walk(components, stop=True)
     if not found.accepting:
         return None
+    # The links are keyed by code; the start's is -1.
     parents, symbols = found.parents, []
-    state = found.accepting[0]
-    while state:
-        link = parents[state]
+    link = parents[found.accepting[0]]
+    while link >= 0:
         symbols.append(link % width)
-        state = link // width
+        link = parents[link // width]
     symbols.reverse()
     return LssResult(len(symbols), tuple(symbols))

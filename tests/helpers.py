@@ -3,9 +3,11 @@ and the cycle-count helpers behind the ramp_cycle_dfa proof (criterion 7)."""
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import os
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import gcd, prod
 from operator import contains, getitem
@@ -263,6 +265,17 @@ def tuple_walk(components: Sequence[Dfa], stop: bool = False) -> TupleWalk:
         if not stop:
             rows.append(tuple(row))
     return TupleWalk(tags, parents, rows, accepting)
+
+
+@contextmanager
+def walk_limit(limit: int):
+    """Run the block with product.MAX_WALK_STATES set to limit; 0 makes every walk key a dict."""
+    module = importlib.import_module("minword.product")  # minword.product is the function
+    shipped, module.MAX_WALK_STATES = module.MAX_WALK_STATES, limit
+    try:
+        yield
+    finally:
+        module.MAX_WALK_STATES = shipped
 
 
 def minimize_two_pass(dfa: Dfa) -> Dfa:

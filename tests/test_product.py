@@ -18,9 +18,9 @@ from minword import (
     unary_residue_dfa,
 )
 
-from minword.product import walk
+from minword.product import MAX_WALK_STATES, walk
 
-from helpers import all_words, dfas, reachable_states, tuple_walk
+from helpers import all_words, dfas, reachable_states, tuple_walk, walk_limit
 
 def test_single_component_is_identity():
     for d in (ones_mod_dfa(3), ramp_cycle_dfa(2, 4)):
@@ -125,28 +125,54 @@ _NESTED = [_ONE, _ring(3, 1, {0}), _ring(5, 4, {2}), _ring(4, 0, {3})]
 @example(components=_NESTED, stop=True)
 @settings(max_examples=300, deadline=None)
 def test_walk_equals_tuple_walk(components, stop):
+    # A drawn product has at most 1,024 codes, so the shipped limit lists
+    # them all; a limit of 0 keys the same walk by a dict.
+    for limit in (MAX_WALK_STATES, 0):
+        with walk_limit(limit):
+            _check_walk_equals_tuple_walk(components, stop)
+
+
+def _code(components, states):
+    """The mixed-radix code of a tuple of component states."""
+    code = 0
+    for d, q in zip(components, states):
+        code = code * d.state_count + q
+    return code
+
+
+def _check_walk_equals_tuple_walk(components, stop):
     found, oracle = walk(components, stop), tuple_walk(components, stop)
     width = len(components[0].alphabet)
-    if stop:
-        # Both walks find the same states by the same links, in one order.
-        assert [divmod(link, width) for link in found.parents[1:]] == oracle.parents[1:]
     assert found.rows == oracle.rows
-    assert found.accepting == oracle.accepting
+    if stop:
+        # A stopping walk keys its links by code: each state the oracle finds
+        # carries the oracle's parent and symbol, the start -1, and no other
+        # code is set.
+        codes = [_code(components, tag) for tag in oracle.tags]
+        expected = {codes[0]: -1}
+        for state, (parent, sym) in enumerate(oracle.parents[1:], 1):
+            expected[codes[state]] = codes[parent] * width + sym
+        table = found.parents
+        links = table.items() if isinstance(table, dict) else enumerate(table)
+        assert {code: link for code, link in links if link is not None} == expected
+        assert found.accepting == [codes[i] for i in oracle.accepting]
+    else:
+        assert found.accepting == oracle.accepting
     if stop and found.accepting:
-        spelled, expected = [], []
-        state = found.accepting[0]
-        while state:
-            state, sym = divmod(found.parents[state], width)
-            spelled.append(sym)
+        spelled, expected_word = [], []
+        link = found.parents[found.accepting[0]]
+        while link >= 0:
+            spelled.append(link % width)
+            link = found.parents[link // width]
         state = oracle.accepting[0]
         while state:
             state, sym = oracle.parents[state]
-            expected.append(sym)
-        assert spelled == expected
+            expected_word.append(sym)
+        assert spelled == expected_word
     if not stop:
         alphabet = components[0].alphabet
-        expected = Dfa(len(oracle.rows), alphabet, 0, frozenset(oracle.accepting), tuple(oracle.rows))
-        assert product(components).dfa == expected
+        expected_dfa = Dfa(len(oracle.rows), alphabet, 0, frozenset(oracle.accepting), tuple(oracle.rows))
+        assert product(components).dfa == expected_dfa
 
 
 def _parity_dfa(seed, half, parity):
@@ -159,9 +185,11 @@ def _parity_dfa(seed, half, parity):
 
 
 # Each query is empty, so its walk visits the whole reachable product: 9,104
-# states.  A walk keeps its codes, its parent links and the seen set, about
-# 140 bytes a state at this size whatever the components.  Keeping a row
-# per tail state as well, as a tail memo would, costs over 350.
+# states.  A walk keeps its codes and its table of parent links: a list of
+# all 40,000 codes for _ONE with one _EVEN and one _ODD, else a dict of the
+# codes found, the product having millions.  Either is about 105-125 bytes
+# a state at this size, whatever the components.  Keeping a row per tail
+# state as well, as a tail memo would, costs over 350.
 _EVEN, _ODD = _parity_dfa(1, 100, 0), _parity_dfa(2, 100, 1)
 
 
@@ -178,7 +206,7 @@ _EVEN, _ODD = _parity_dfa(1, 100, 0), _parity_dfa(2, 100, 1)
     ids=["repeated", "one-state-first", "one-state-last", "joint-of-three", "joint-of-four", "nested-two-deep"],
 )
 def test_lss_walk_memory_per_state_is_bounded(components):
-    states = len(walk(components, stop=True).parents)
+    states = len(tuple_walk(components, stop=True).tags)
     assert states == 9_104
     tracemalloc.start()
     try:
@@ -187,3 +215,29 @@ def test_lss_walk_memory_per_state_is_bounded(components):
     finally:
         tracemalloc.stop()
     assert peak < 200 * states
+
+
+def _random_dfa(seed, states, accepting):
+    """A random binary DFA from seed that starts at 0 and accepts that many other states."""
+    rng = Random(seed)
+    delta = tuple((rng.randrange(states), rng.randrange(states)) for _ in range(states))
+    return Dfa(states, BINARY, 0, frozenset(rng.sample(range(1, states), accepting)), delta)
+
+
+def test_lss_walk_memory_at_the_limit_is_one_list():
+    # Two 2048-state DFAs make a product of exactly MAX_WALK_STATES codes, the
+    # largest that indexes a list, and their shortest common word, of length
+    # 11, is found after 3,027 states.  The list of one 8-byte slot per code
+    # is the walk's worst case; the states found cost what they cost in an
+    # empty query.
+    components = [_random_dfa(2, 2048, 32), _random_dfa(3, 2048, 32)]
+    assert components[0].state_count * components[1].state_count == MAX_WALK_STATES
+    states = len(tuple_walk(components, stop=True).tags)
+    assert states == 3_027
+    tracemalloc.start()
+    try:
+        assert intersection_lss(components).length == 11
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * MAX_WALK_STATES + 200 * states

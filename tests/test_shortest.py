@@ -16,7 +16,9 @@ from minword import (
     unary_residue_dfa,
 )
 
-from helpers import all_words, brute_force_shortest, crt_min_length, dfas
+from minword.product import MAX_WALK_STATES
+
+from helpers import all_words, brute_force_shortest, crt_min_length, dfas, walk_limit
 
 
 def test_accepting_initial_gives_empty_word():
@@ -107,6 +109,13 @@ def test_pumping_bound(d):
 @given(a=dfas(max_states=4), b=dfas(max_states=4), c=dfas(max_states=3))
 @settings(max_examples=60, deadline=None)
 def test_fused_intersection_equals_composed(a, b, c):
+    # Once with each kind of walk table: a list of every code, then a dict.
+    for limit in (MAX_WALK_STATES, 0):
+        with walk_limit(limit):
+            _check_fused_intersection(a, b, c)
+
+
+def _check_fused_intersection(a, b, c):
     assert intersection_lss([a, b]) == shortest_accepted(product([a, b]).dfa)
     # Both sides above run the same product walk; the word oracle does not.
     for components in ([a, b], [a, b, c]):
@@ -125,8 +134,10 @@ def test_intersection_is_invariant_under_permutation(components):
     # The intersection does not depend on the components' order, and neither
     # does the shortlex-least word of it.
     expected = shortest_accepted(product(components).dfa)
-    for order in permutations(components):
-        assert intersection_lss(list(order)) == expected
+    for limit in (MAX_WALK_STATES, 0):
+        with walk_limit(limit):
+            for order in permutations(components):
+                assert intersection_lss(list(order)) == expected
 
 
 @given(a=dfas(max_states=5), b=dfas(max_states=5))
